@@ -22,14 +22,12 @@ OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
 
   OfflineSchedule schedule;
   schedule.multiplier = multiplier;
-  schedule.outcomes.reserve(lambda.size());
   for (std::size_t t = 0; t < lambda.size(); ++t) {
     const opt::SlotInput input{lambda[t], onsite_kw[t], price[t]};
     const auto solution = solver.solve(fleet, input, w);
     // Lift the solver's raw-double outcome into the dimensioned tallies.
     schedule.total_cost += units::usd(solution.outcome.total_cost);
     schedule.total_brown_kwh += units::kwh(solution.outcome.brown_kwh);
-    schedule.outcomes.push_back(solution.outcome);
   }
   return schedule;
 }

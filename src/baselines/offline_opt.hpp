@@ -23,7 +23,6 @@ struct OfflineSchedule {
   units::Usd total_cost;              ///< annual cost at the schedule
   units::KiloWattHours total_brown_kwh;  ///< annual brown energy
   bool budget_met = false;
-  std::vector<opt::SlotOutcome> outcomes;  ///< per-slot breakdown
 };
 
 struct OfflineOptConfig {

@@ -1,5 +1,6 @@
 #include "core/deficit_queue.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace coca::core {
@@ -7,12 +8,22 @@ namespace coca::core {
 units::KiloWattHours CarbonDeficitQueue::update(
     units::KiloWattHours brown, units::KiloWattHours offsite, double alpha,
     units::KiloWattHours rec_per_slot) {
-  if (brown.value() < 0.0 || offsite.value() < 0.0 ||  // UNITS: sign check
-      rec_per_slot.value() < 0.0) {  // UNITS: sign check on raw magnitude
-    throw std::invalid_argument("CarbonDeficitQueue::update: negative input");
+  // A NaN sample would pass a plain `< 0` guard and positive_part would map
+  // the NaN iterate to 0, silently erasing the carbon debt — so non-finite
+  // input is rejected exactly like negative input.
+  for (const double x : {brown.value(), offsite.value(),  // UNITS: validity
+                         rec_per_slot.value()}) {  // UNITS: validity check
+    if (!std::isfinite(x)) {
+      throw std::invalid_argument(
+          "CarbonDeficitQueue::update: non-finite input");
+    }
+    if (x < 0.0) {
+      throw std::invalid_argument("CarbonDeficitQueue::update: negative input");
+    }
   }
-  if (alpha <= 0.0) {
-    throw std::invalid_argument("CarbonDeficitQueue::update: alpha must be > 0");
+  if (!(alpha > 0.0 && std::isfinite(alpha))) {
+    throw std::invalid_argument(
+        "CarbonDeficitQueue::update: alpha must be finite and > 0");
   }
   // Eq. 17: q(t+1) = [ q(t) + y(t) - alpha*(f(t) + z(t)) ]^+ — all kWh.
   // alpha multiplies *both* offsets here and nowhere else (the Eq. 10
@@ -25,10 +36,18 @@ units::KiloWattHours CarbonDeficitQueue::update(
 }
 
 void CarbonDeficitQueue::restore(double q, std::vector<double> history) {
+  if (!std::isfinite(q)) {
+    throw std::invalid_argument(
+        "CarbonDeficitQueue::restore: non-finite length");
+  }
   if (q < 0.0) {
     throw std::invalid_argument("CarbonDeficitQueue::restore: negative length");
   }
   for (const double h : history) {
+    if (!std::isfinite(h)) {
+      throw std::invalid_argument(
+          "CarbonDeficitQueue::restore: non-finite history entry");
+    }
     if (h < 0.0) {
       throw std::invalid_argument(
           "CarbonDeficitQueue::restore: negative history entry");

@@ -38,7 +38,9 @@ class CarbonDeficitQueue {
   /// `rec_per_slot` = z(t) — both offsets in unscaled kWh; this update
   /// multiplies the *sum* of them by `alpha`.  Every term of Eq. 17 is
   /// energy — the typed signature makes a power-for-energy mixup (kW where
-  /// kWh belongs) a compile error.  Returns the new queue length.
+  /// kWh belongs) a compile error.  Throws std::invalid_argument on a
+  /// negative or non-finite input, or an alpha that is not finite and
+  /// positive, leaving the queue unchanged.  Returns the new queue length.
   units::KiloWattHours update(units::KiloWattHours brown,
                               units::KiloWattHours offsite, double alpha,
                               units::KiloWattHours rec_per_slot);
@@ -56,8 +58,9 @@ class CarbonDeficitQueue {
   void reset() { q_ = 0.0; }
 
   /// Crash/restart: replace the full queue state (length + history) with a
-  /// checkpointed snapshot (core/checkpoint.hpp).  Throws on a negative
-  /// length — a restored queue must still be a valid [.]^+ iterate.
+  /// checkpointed snapshot (core/checkpoint.hpp).  Throws on a negative or
+  /// non-finite length or history entry — a restored queue must still be a
+  /// valid [.]^+ iterate.
   void restore(double q, std::vector<double> history);
 
   /// Queue length after every update so far (diagnostics / Theorem 2 checks).

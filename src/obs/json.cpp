@@ -91,6 +91,11 @@ bool JsonValue::contains(const std::string& key) const {
 
 namespace {
 
+// Containers nested deeper than this are rejected: parse_value recurses
+// once per level, so unbounded nesting in a hostile or corrupt document
+// (a checkpoint blob, a trace line) would otherwise overflow the stack.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -137,8 +142,13 @@ class Parser {
   JsonValue parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // A throw abandons the whole parse, so depth_ needs no unwinding.
+      if (++depth_ > kMaxDepth) fail("nesting too deep");
+      JsonValue container = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return container;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -259,6 +269,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers currently open (see kMaxDepth)
 };
 
 }  // namespace

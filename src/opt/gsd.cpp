@@ -120,8 +120,10 @@ GsdResult GsdSolver::solve_chain(const dc::Fleet& fleet, const SlotInput& input,
   // The chain's incremental load-LP engine: caches the dual point and the
   // SoA response terms across candidate solves (one context per chain keeps
   // the cache state — and so the warm/cold span counts — deterministic at
-  // any thread count).  It emits the load_lp_warm / load_lp_cold spans.
-  LoadLpContext lp(fleet, config_.lp_policy);
+  // any thread count).  Candidates after the slot's first solve re-clear
+  // warm, within the documented epsilon of balance_loads (opt/load_lp.hpp).
+  // It emits the load_lp_warm / load_lp_cold spans.
+  LoadLpContext lp(fleet);
 
   // Initialization (line 1): a feasible starting configuration.
   dc::Allocation kept =

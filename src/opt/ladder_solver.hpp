@@ -52,7 +52,10 @@ class LadderSolver {
   /// An optional LoadLpContext (built for the *same* fleet) carries the
   /// load-LP caches across repeated solves — the capped solvers reuse one
   /// across their multiplier bisections; when omitted a solve-local context
-  /// is used.  Results are bit-identical either way (kBitExact policy).
+  /// is used.  Without polish passes results are bit-identical either way:
+  /// every clearing goes through the context's canonical solve_linear.  The
+  /// polish grid goes through solve(), whose warm candidates agree with the
+  /// reference to the documented epsilon (opt/load_lp.hpp).
   SlotSolution solve(const dc::Fleet& fleet, const SlotInput& input,
                      const SlotWeights& weights,
                      LoadLpContext* lp = nullptr) const;

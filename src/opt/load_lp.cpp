@@ -64,8 +64,7 @@ std::uint64_t fnv1a_alloc(const dc::Allocation& alloc) {
 
 }  // namespace
 
-LoadLpContext::LoadLpContext(const dc::Fleet& fleet, LoadLpPolicy policy)
-    : fleet_(&fleet), policy_(policy) {
+LoadLpContext::LoadLpContext(const dc::Fleet& fleet) : fleet_(&fleet) {
   const std::size_t groups = fleet.group_count();
   level_offset_.assign(groups + 1, 0);
   for (std::size_t g = 0; g < groups; ++g) {
@@ -123,23 +122,24 @@ void LoadLpContext::refresh_tables(const SlotWeights& weights) {
   tables_gamma_ = weights.gamma;
 }
 
-bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc) {
+bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc,
+                                      bool dead_lanes) {
   const std::size_t groups = alloc.size();
-  if (cls_key_.size() != 2 * groups) return false;
+  if (cls_key_.size() != 2 * groups || dead_lanes_ != dead_lanes) {
+    return false;
+  }
   int patched = 0;
   for (std::size_t g = 0; g < groups; ++g) {
     const double lv = static_cast<double>(alloc[g].level);
     const double ac = alloc[g].active;
     if (cls_key_[2 * g] == lv && cls_key_[2 * g + 1] == ac) continue;
-    // Under the warm policy a group joining or leaving the active set is an
+    // With dead lanes a group joining or leaving the active set is an
     // ordinary patch: the lane flips between its live tables and the dead
-    // template.  The canonical policy compacts dead lanes away (its
-    // bisection pays ~33 gap evaluations per solve, so a shorter lane array
-    // beats patchability) and rebuilds on membership flips instead.  Large
-    // diffs: rebuilding is cheaper.
+    // template.  The compacted layout has no lane to flip, so it rebuilds.
+    // Large diffs: rebuilding is cheaper.
     const bool was_in = cls_key_[2 * g + 1] > kTiny;
     const bool now_in = ac > kTiny;
-    if (was_in != now_in && policy_ != LoadLpPolicy::kWarmStart) return false;
+    if (was_in != now_in && !dead_lanes) return false;
     if (was_in || now_in) {
       if (++patched > 8) return false;
       const std::int32_t i = cls_index_[g];
@@ -187,12 +187,13 @@ bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc) {
 }
 
 void LoadLpContext::build_classes(const dc::Allocation& alloc,
-                                  const SlotWeights& weights) {
+                                  const SlotWeights& weights, bool dead_lanes) {
   if (classes_ready_) return;  // same alloc/weights for the whole solve()
   const bool tables_fresh =
       weights.pue == tables_pue_ && weights.gamma == tables_gamma_;
   refresh_tables(weights);
-  if (tables_fresh && try_patch_classes(alloc)) return;
+  if (tables_fresh && try_patch_classes(alloc, dead_lanes)) return;
+  dead_lanes_ = dead_lanes;
   cls_key_.clear();
   dirty_.clear();
   dirty_all_ = true;
@@ -211,28 +212,24 @@ void LoadLpContext::build_classes(const dc::Allocation& alloc,
   for (std::size_t g = 0; g < alloc.size(); ++g) {
     cls_key_[2 * g] = static_cast<double>(alloc[g].level);
     cls_key_[2 * g + 1] = alloc[g].active;
-    if (alloc[g].active <= kTiny) {
-      if (policy_ == LoadLpPolicy::kWarmStart) {
-        // Dead lane for an inactive group: zeroed tables make every kernel
-        // contribution an exact +0.0 and the bracket scans see thr = +inf /
-        // hib = 0, so the lane is bitwise-invisible to the solve — while
-        // membership changes stay patchable instead of forcing a rebuild
-        // (which would also drop the warm seed).  The canonical policy
-        // compacts them away; see try_patch_classes.
-        cls_index_[g] = static_cast<std::int32_t>(cls_group_.size());
-        cls_group_.push_back(g);
-        cls_rate_.push_back(0.0);
-        cls_slope_.push_back(0.0);
-        cls_active_.push_back(0.0);
-        cls_cap_.push_back(0.0);
-        cls_denom_.push_back(std::numeric_limits<double>::infinity());
-        cls_stat_.push_back(0.0);
-        cls_dyn_.push_back(0.0);
-      }
-      continue;
-    }
+    if (alloc[g].active <= kTiny && !dead_lanes) continue;
     cls_index_[g] = static_cast<std::int32_t>(cls_group_.size());
     cls_group_.push_back(g);
+    if (alloc[g].active <= kTiny) {
+      // Dead lane for an inactive group: zeroed tables make every kernel
+      // contribution an exact +0.0 and the bracket scans see thr = +inf /
+      // hib = 0, so the lane is bitwise-invisible to the solve — while
+      // membership changes stay patchable instead of forcing a rebuild
+      // (which would also drop the warm seed).
+      cls_rate_.push_back(0.0);
+      cls_slope_.push_back(0.0);
+      cls_active_.push_back(0.0);
+      cls_cap_.push_back(0.0);
+      cls_denom_.push_back(std::numeric_limits<double>::infinity());
+      cls_stat_.push_back(0.0);
+      cls_dyn_.push_back(0.0);
+      continue;
+    }
     const std::size_t slot = level_offset_[g] + alloc[g].level;
     cls_rate_.push_back(rate_table_[slot]);
     cls_slope_.push_back(slope_table_[slot]);
@@ -430,8 +427,7 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
     // the patched lanes: same invariants (mu, V*beta), same lambda, and a
     // positive captured gradient for the Newton step.
     const bool inv_fresh = !dirty_all_ && mu == inv_mu_ && v_beta == inv_vbeta_;
-    const bool seed_ok = policy_ == LoadLpPolicy::kWarmStart && seed_valid_ &&
-                         inv_fresh && lambda == seed_lambda_ &&
+    const bool seed_ok = seed_valid_ && inv_fresh && lambda == seed_lambda_ &&
                          seed_grad_ > 0.0;
     if (dirty_all_ || !(mu == inv_mu_ && v_beta == inv_vbeta_)) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -484,8 +480,7 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
     double last_eval = std::numeric_limits<double>::quiet_NaN();
     double last_fx = 0.0;
     double last_grad = 0.0;
-    bool cleared = false;
-    if (policy_ == LoadLpPolicy::kWarmStart && warm_nu > 0.0) {
+    if (warm_nu > 0.0) {
       // Bracket-safeguarded Newton from the cached clearing price.  The gap
       // is monotone nondecreasing in nu, so each iterate shrinks the
       // canonical bracket; the Newton step (analytic derivative from the
@@ -513,62 +508,45 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
         last_fx = fx;
         last_grad = grad;
         ++stats_.nu_iterations;
-        if (std::abs(fx) <= options.f_tol) {
-          cleared = true;
-          break;
-        }
+        if (std::abs(fx) <= options.f_tol) break;
         if (fx < 0.0) {
           a = x;
         } else {
           b = x;
         }
-        if ((b - a) <= options.x_tol) {
-          cleared = true;
-          break;
-        }
+        if ((b - a) <= options.x_tol) break;
         const double step = grad > 0.0 ? x - fx / grad : a;
         x = (step > a && step < b) ? step : 0.5 * (a + b);
       }
-      nu = x;
-      cleared = true;  // max_iterations exhausts to the last iterate
-    }
-    if (!cleared) {
+      nu = x;  // max_iterations exhausts to the last iterate
+    } else {
       auto gap = [&](double price) { return supply_gap(price, lambda); };
       const auto result = util::bisect(gap, lo, hi, options);
       stats_.nu_iterations += result.iterations;
       nu = result.x;
     }
     // Leave cls_resp_ at the clearing price.  When the last gap evaluation
-    // was already at nu (the Newton loop always ends there) the arrays hold
+    // was already at nu (a converged Newton loop ends there) the arrays hold
     // exactly the values a re-evaluation would write — skip it.  The
-    // canonical branch always re-evaluates (reference order).  Under the
-    // warm policy, re-arm the analytic seed at this clearing: the Newton
-    // break already has (fx, grad); the canonical refresh swaps supply_gap
-    // for supply_gap_grad, whose response lanes are the identical
-    // expressions (bit-for-bit the same cls_resp_), to pick up the gradient.
+    // canonical bisection always re-evaluates (reference order).  On
+    // solve()'s layout the refresh swaps supply_gap for supply_gap_grad,
+    // whose response lanes are the identical expressions (bit-for-bit the
+    // same cls_resp_), to pick up the gradient that re-arms the analytic
+    // seed at this clearing.
     seed_valid_ = false;
     seed_delta_ = 0.0;
     seed_gdelta_ = 0.0;
-    if (cleared && last_eval == nu) {
-      if (policy_ == LoadLpPolicy::kWarmStart && last_grad > 0.0) {
+    if (!dead_lanes_) {
+      supply_gap(nu, lambda);
+    } else {
+      if (last_eval != nu) last_fx = supply_gap_grad(nu, lambda, last_grad);
+      if (last_grad > 0.0) {
         seed_valid_ = true;
         seed_nu_ = nu;
         seed_fx_ = last_fx;
         seed_grad_ = last_grad;
         seed_lambda_ = lambda;
       }
-    } else if (policy_ == LoadLpPolicy::kWarmStart) {
-      double grad = 0.0;
-      const double fx = supply_gap_grad(nu, lambda, grad);
-      if (grad > 0.0) {
-        seed_valid_ = true;
-        seed_nu_ = nu;
-        seed_fx_ = fx;
-        seed_grad_ = grad;
-        seed_lambda_ = lambda;
-      }
-    } else {
-      supply_gap(nu, lambda);
     }
     for (std::size_t i = 0; i < n; ++i) {
       cls_load_[i] = cls_active_[i] * cls_resp_[i];
@@ -582,7 +560,7 @@ double LoadLpContext::solve_linear(dc::Allocation& alloc, double lambda,
                                    double mu, const SlotWeights& weights) {
   for (auto& a : alloc) a.load = 0.0;
   if (lambda <= kTiny) return 0.0;
-  build_classes(alloc, weights);
+  build_classes(alloc, weights, false);
   const double nu = solve_linear_built(lambda, mu, weights, 0.0);
   if (nu < 0.0) return nu;
   scatter_loads(alloc);
@@ -670,7 +648,7 @@ SlotOutcome LoadLpContext::outcome_from_classes(const dc::Allocation& alloc,
                                                 const SlotInput& input,
                                                 const SlotWeights& weights) const {
   // See the declaration comment.  Lanes cover every group in group order
-  // (warm policy keeps dead lanes), so the in-order sums below visit groups
+  // (inactive groups keep dead lanes), so the in-order sums below visit groups
   // exactly as outcome_at does; dead and zero-load lanes contribute an exact
   // +0.0, which is bitwise-neutral in these nonnegative accumulations.
   const std::size_t n = cls_group_.size();
@@ -844,7 +822,7 @@ LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
   if (cached_regime_ == PowerRegime::kGridDraw) {
     for (auto& a : alloc) a.load = 0.0;
     if (input.lambda > kTiny) {
-      build_classes(alloc, weights);
+      build_classes(alloc, weights, true);
       const double nu = solve_linear_built(input.lambda, mu_full, weights,
                                            cached_nu_);
       if (nu < 0.0) {
@@ -876,7 +854,7 @@ LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
     double nu = 0.0;
     for (auto& a : alloc) a.load = 0.0;
     if (input.lambda > kTiny) {
-      build_classes(alloc, weights);
+      build_classes(alloc, weights, true);
       nu = solve_linear_built(input.lambda, mu_floor, weights, cached_nu_);
       if (nu >= 0.0) scatter_loads(alloc);
     }
@@ -910,7 +888,7 @@ LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
   auto warm_linear = [&](double mu) {
     for (auto& a : alloc) a.load = 0.0;
     if (input.lambda <= kTiny) return 0.0;
-    build_classes(alloc, weights);
+    build_classes(alloc, weights, true);
     const double nu =
         solve_linear_built(input.lambda, mu, weights, last_nu);
     if (nu >= 0.0) {
@@ -1077,7 +1055,7 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
   // One class build covers the whole solve: the allocation's levels/active
   // counts are fixed until we return, so the interior build_classes calls
   // (including the boundary regime's per-mu re-clears) short-circuit.
-  build_classes(alloc, weights);
+  build_classes(alloc, weights, true);
   classes_ready_ = true;
 
   // Capacity pre-check with the exact reference predicate: capacity-short
@@ -1088,10 +1066,9 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
     capacity_short = built_capacity() < input.lambda * (1.0 - 1e-9);
   }
 
-  const LoadBalanceResult result =
-      (warm && !capacity_short && policy_ == LoadLpPolicy::kWarmStart)
-          ? solve_warm(alloc, input, weights)
-          : solve_cold(alloc, input, weights);
+  const LoadBalanceResult result = (warm && !capacity_short)
+                                       ? solve_warm(alloc, input, weights)
+                                       : solve_cold(alloc, input, weights);
   classes_ready_ = false;
   remember(alloc, input, weights, result);
   memo_store(hash, result, alloc);

@@ -22,22 +22,24 @@
 //   * an exact memo of previously solved configurations, so re-evaluating
 //     the kept configuration (GSD line 8) is a lookup, not a solve.
 //
-// Exactness policy — the whole engine is gated on it explicitly:
-//   * kBitExact (default): every result is bit-for-bit identical to the
-//     reference `balance_loads`.  The canonical bracket, tolerances and
-//     iteration order are preserved; only the memory layout, the hoisted
-//     invariants (identical expressions, evaluated once) and the exact memo
-//     differ.  GSD argmins, traces and goldens are unchanged.
-//   * kWarmStart: documented-epsilon mode.  The nu clearing re-solves from
-//     the cached dual point with a bracket-safeguarded Newton iteration —
-//     the gap's analytic derivative rides the same fused SoA pass, so a few
-//     gap evaluations replace the ~45-step canonical bisection — and the
-//     [p - r]^+ kink regime is
-//     revalidated cheaply by re-checking the cached branch first, with a
-//     full reference-order re-solve as the fallback when the regime flips.
-//     Results agree with the reference to the clearing tolerance (relative
-//     ~1e-9 on the served load; objectives agree to ~1e-6 relative — see
-//     DESIGN.md "Incremental dual-point cache").
+// Exactness contract:
+//   * Cold solves — the first solve() for an (input, weights) pair, a
+//     capacity-short candidate, or any warm check that fails — run the
+//     reference regime order (A -> B -> boundary) with the canonical nu
+//     bisection, so they are bit-for-bit identical to `balance_loads`.
+//     So is every solve_linear() call (the ladder's and the capped solvers'
+//     entry point), and a memo hit replays its stored result bit-for-bit.
+//   * Warm solves (every later candidate of the slot — GSD's Gibbs sweep)
+//     re-clear nu from the cached dual point with a bracket-safeguarded
+//     Newton iteration: the gap's analytic derivative rides the same fused
+//     SoA pass, and a single-flip patch seeds the first iterate analytically,
+//     so a few gap evaluations replace the ~31-step canonical bisection.  The
+//     [p - r]^+ kink regime is revalidated cheaply by re-checking the cached
+//     branch first, with the cold sequence as the fallback when it flips.
+//     Results agree with the reference to the clearing tolerance: the
+//     served load clears lambda to the reference's own 1e-9 relative
+//     tolerance, objectives and nu agree to 1e-6 relative (DESIGN.md
+//     "Incremental dual-point cache").
 //
 // Every solve is wrapped in a `load_lp_warm` or `load_lp_cold` span:
 // warm = the cached dual point was valid for this (input, weights) pair
@@ -55,12 +57,6 @@
 
 namespace coca::opt {
 
-/// Exactness contract of the incremental engine (see file comment).
-enum class LoadLpPolicy {
-  kBitExact,   ///< bit-for-bit identical to the reference balance_loads
-  kWarmStart,  ///< warm nu/mu brackets; documented epsilon vs the reference
-};
-
 /// Deterministic counters (pure function of the solve sequence).
 struct LoadLpStats {
   std::int64_t solves = 0;        ///< kinked solves (solve() calls)
@@ -75,17 +71,17 @@ struct LoadLpStats {
 /// Not thread-safe: use one context per chain/thread (GSD does).
 class LoadLpContext {
  public:
-  explicit LoadLpContext(const dc::Fleet& fleet,
-                         LoadLpPolicy policy = LoadLpPolicy::kBitExact);
+  explicit LoadLpContext(const dc::Fleet& fleet);
 
   /// Drop-in for `balance_loads`: reads levels/active counts of `alloc`,
-  /// overwrites loads, handles the renewable kink.  Under kBitExact the
-  /// result is bit-identical to the reference.
+  /// overwrites loads, handles the renewable kink.  Cold solves are
+  /// bit-identical to the reference, warm ones agree to the documented
+  /// epsilon (see file comment).
   LoadBalanceResult solve(dc::Allocation& alloc, const SlotInput& input,
                           const SlotWeights& weights);
 
   /// Drop-in for `balance_loads_linear` (fixed effective price mu, no kink).
-  /// Always canonical (bit-exact); the warm policy only affects solve().
+  /// Always canonical (bit-exact); the warm clearing only affects solve().
   double solve_linear(dc::Allocation& alloc, double lambda, double mu,
                       const SlotWeights& weights);
 
@@ -101,20 +97,22 @@ class LoadLpContext {
   void invalidate();
 
   const dc::Fleet& fleet() const { return *fleet_; }
-  LoadLpPolicy policy() const { return policy_; }
   const LoadLpStats& stats() const { return stats_; }
 
  private:
   /// Rebuild the SoA class arrays for `alloc` from the cached tables.
-  /// When the previous build's class membership still matches (the common
-  /// single-group flip), the changed groups are patched in place instead of
-  /// rebuilding — the patched values come from the same table expressions,
-  /// so the arrays are bit-identical to a fresh build.
-  void build_classes(const dc::Allocation& alloc, const SlotWeights& weights);
+  /// When the previous build's layout and class membership still match (the
+  /// common single-group flip), the changed groups are patched in place
+  /// instead of rebuilding — the patched values come from the same table
+  /// expressions, so the arrays are bit-identical to a fresh build.
+  /// `dead_lanes` picks the layout (see `dead_lanes_`).
+  void build_classes(const dc::Allocation& alloc, const SlotWeights& weights,
+                     bool dead_lanes);
   /// Patch cls_* in place for groups whose (level, active) changed since the
-  /// arrays were built.  Returns false (caller rebuilds) when the class set
-  /// changed or the diff is too large to be worth patching.
-  bool try_patch_classes(const dc::Allocation& alloc);
+  /// arrays were built.  Returns false (caller rebuilds) when the layout
+  /// differs, the diff is too large to be worth patching, or — compacted
+  /// layout only — a group joins or leaves the active set.
+  bool try_patch_classes(const dc::Allocation& alloc, bool dead_lanes);
   void refresh_tables(const SlotWeights& weights);
   /// Table-driven replica of opt::evaluate(): identical expressions, check
   /// order and group-order summation (bit-for-bit), with the spec lookups
@@ -133,16 +131,16 @@ class LoadLpContext {
   SlotOutcome outcome_from_classes(const dc::Allocation& alloc,
                                    const SlotInput& input,
                                    const SlotWeights& weights) const;
-  /// Canonical linear solve over the already-built class arrays.  When
-  /// `warm_nu` > 0, the bisection bracket is warmed around it (kWarmStart
-  /// only); tolerances stay canonical.
+  /// Linear solve over the already-built class arrays.  `warm_nu` = 0 runs
+  /// the canonical bisection; `warm_nu` > 0 runs the bracket-safeguarded
+  /// Newton clearing from it, with the canonical tolerances.
   double solve_linear_built(double lambda, double mu,
                             const SlotWeights& weights, double warm_nu);
   void scatter_loads(dc::Allocation& alloc) const;
   /// In-order active*cap sum over the built classes (cached per build).
   double built_capacity();
   double supply_gap(double nu, double lambda);
-  /// supply_gap fused with its analytic nu-derivative (kWarmStart clearing):
+  /// supply_gap fused with its analytic nu-derivative (warm clearing):
   /// the responses written to cls_resp_ are bit-identical to supply_gap's.
   double supply_gap_grad(double nu, double lambda, double& grad);
   void settle_residual(double lambda);
@@ -176,7 +174,6 @@ class LoadLpContext {
                         const SlotWeights& weights) const;
 
   const dc::Fleet* fleet_;
-  LoadLpPolicy policy_;
   LoadLpStats stats_;
 
   // Per-(group, level) tables, flattened with group offsets.  `rate_table_`
@@ -201,6 +198,14 @@ class LoadLpContext {
   // interior rebuilds (the boundary regime's outer bisection re-clears the
   // same classes at every mu iterate).
   bool classes_ready_ = false;
+  // Layout of the class arrays, chosen by the entry point that built them.
+  // solve() keeps a +0.0-neutral dead lane per inactive group, so the GSD
+  // sweep's membership flips stay patches (and keep the warm seed), and it
+  // arms the seed after every clearing.  solve_linear() compacts inactive
+  // groups away and skips the seed: the ladder's canonical bisections pay
+  // per lane on every one of their ~40 iterations and never consume a seed.
+  // Both layouts clear to the same bits.
+  bool dead_lanes_ = false;
   // Delta-build state: `cls_key_` is the (level, active) key the class
   // arrays currently describe (empty = arrays invalid), `cls_index_` maps
   // group -> class index (-1 when inactive), `dirty_` lists the classes
@@ -211,7 +216,7 @@ class LoadLpContext {
   bool dirty_all_ = true;
   double inv_mu_ = std::numeric_limits<double>::quiet_NaN();
   double inv_vbeta_ = std::numeric_limits<double>::quiet_NaN();
-  // Analytic warm seed (kWarmStart only): the gap residual and gradient
+  // Analytic warm seed: the gap residual and gradient
   // captured at the last clearing price.  A class patch adjusts the residual
   // by the patched lanes' contribution delta at `seed_nu_`, so the next warm
   // solve can take one Newton step *before* its first gap evaluation.  The

@@ -39,6 +39,8 @@ struct SlotRecord {
 class Metrics {
  public:
   void record(const SlotRecord& slot) { slots_.push_back(slot); }
+  /// Pre-size for `slots` records so a run of known length never regrows.
+  void reserve(std::size_t slots) { slots_.reserve(slots); }
   std::size_t slot_count() const { return slots_.size(); }
   const std::vector<SlotRecord>& slots() const { return slots_; }
 

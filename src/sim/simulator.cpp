@@ -36,6 +36,12 @@ SimResult run_simulation(const dc::Fleet& fleet, const Environment& env,
                          const SimOptions& options) {
   env.validate();
   SimResult result;
+  // One record per slot: size both per-slot buffers once, up front.
+  result.metrics.reserve(env.slots());
+  if (options.record_allocations != nullptr) {
+    options.record_allocations->reserve(options.record_allocations->size() +
+                                        env.slots());
+  }
 
   opt::SlotWeights billing = weights;
   billing.V = 1.0;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/deficit_queue.hpp"
@@ -60,6 +61,37 @@ TEST(DeficitQueue, RejectsBadInputs) {
   EXPECT_THROW(q.update(1.0, -1.0, 1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(q.update(1.0, 0.0, 0.0, 0.0), std::invalid_argument);
   EXPECT_THROW(q.update(1.0, 0.0, 1.0, -1.0), std::invalid_argument);
+}
+
+TEST(DeficitQueue, RejectsNonFiniteInputWithoutErasingTheDebt) {
+  // A NaN reading used to slip past the sign check and positive_part mapped
+  // the NaN iterate to 0, wiping q.  It must fail loudly and leave q intact.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CarbonDeficitQueue q;
+  q.update(450.5, 0.0, 1.0, 0.0);
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(q.update(bad, 0.0, 1.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(q.update(1.0, bad, 1.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(q.update(1.0, 0.0, 1.0, bad), std::invalid_argument);
+    EXPECT_THROW(q.update(1.0, 0.0, bad, 0.0), std::invalid_argument);
+  }
+  EXPECT_EQ(q.length(), 450.5);
+  EXPECT_EQ(q.history().size(), 1u);
+}
+
+TEST(DeficitQueue, RestoreRejectsNonFiniteState) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CarbonDeficitQueue q;
+  q.update(7.0, 0.0, 1.0, 0.0);
+  EXPECT_THROW(q.restore(kNan, {}), std::invalid_argument);
+  EXPECT_THROW(q.restore(kInf, {}), std::invalid_argument);
+  EXPECT_THROW(q.restore(1.0, {1.0, kNan}), std::invalid_argument);
+  EXPECT_THROW(q.restore(1.0, {kInf}), std::invalid_argument);
+  EXPECT_EQ(q.length(), 7.0);  // a rejected restore changes nothing
+  q.restore(3.0, {3.0});
+  EXPECT_EQ(q.length(), 3.0);
 }
 
 TEST(DeficitQueue, QueueBoundImpliesConstraintSlack) {

@@ -149,6 +149,11 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedBlobs) {
       controller.restore(
           R"({"schema":"coca-ckpt-v1","controller":"COCA","slot":0,"queue":{"q":-1,"history":[]}})"),
       std::invalid_argument);
+
+  // A corrupt blob nested far past any real checkpoint is rejected by the
+  // parser's depth limit instead of overflowing the stack.
+  EXPECT_THROW(controller.restore(std::string(100000, '[')),
+               std::runtime_error);
 }
 
 // --- Crash/restart through the simulator ---

@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -167,6 +168,30 @@ TEST(ObsJson, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_json("[1,]"), std::runtime_error);
   EXPECT_THROW(parse_json("{} trailing"), std::runtime_error);
   EXPECT_THROW(parse_json(""), std::runtime_error);
+}
+
+TEST(ObsJson, ParseRejectsExcessiveNestingWithByteOffset) {
+  // Deep nesting used to recurse until the stack overflowed; now it fails
+  // like any other malformed document, at the offending container's byte.
+  const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  try {
+    parse_json(deep);
+    FAIL() << "100000-deep array parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 256"), std::string::npos)
+        << e.what();
+  }
+
+  // The limit is 256 open containers: 256 parse, 257 do not.
+  const JsonValue ok =
+      parse_json(std::string(256, '[') + std::string(256, ']'));
+  EXPECT_TRUE(ok.is_array());
+  EXPECT_THROW(parse_json(std::string(257, '[') + std::string(257, ']')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 257; ++i) objects += R"({"k":)";
+  objects += "0" + std::string(257, '}');
+  EXPECT_THROW(parse_json(objects), std::runtime_error);
 }
 
 TEST(ObsTrace, JsonLineHasFixedKeyOrderAndParses) {

@@ -151,22 +151,20 @@ TEST(MultiChainGsdDeterminism, MergeEqualsManualChainMergeInChainOrder) {
   expect_same_alloc(merged.best.alloc, chains[winner].best.alloc);
 }
 
-TEST(MultiChainGsdDeterminism, WarmStartPolicyBitIdenticalAcrossThreads) {
-  // The kWarmStart load-LP policy trades bit-exactness *against the
-  // reference solver* for speed, but it must still be deterministic in
-  // itself: same seed, any thread count, same bits — including the warm /
-  // cold / regime-flip counters.
+TEST(MultiChainGsdDeterminism, DefaultWarmClearingBitIdenticalAcrossThreads) {
+  // The default config re-clears every candidate after a chain's first
+  // solve warm (Newton from the cached dual point), which trades
+  // bit-exactness *against the reference solver* for speed — but the chain
+  // must still be deterministic in itself: same seed, any thread count, same
+  // bits, including the warm / cold / regime-flip counters.
   const auto fleet = small_fleet();
   const opt::SlotInput input{30.0, 0.0, 0.06};
   const auto w = small_weights();
 
-  auto warm_config = [&](int threads) {
-    auto config = multi_chain_config(threads);
-    config.lp_policy = opt::LoadLpPolicy::kWarmStart;
-    return config;
-  };
-  const auto serial = opt::GsdSolver(warm_config(1)).solve(fleet, input, w);
-  const auto parallel = opt::GsdSolver(warm_config(4)).solve(fleet, input, w);
+  const auto serial =
+      opt::GsdSolver(multi_chain_config(1)).solve(fleet, input, w);
+  const auto parallel =
+      opt::GsdSolver(multi_chain_config(4)).solve(fleet, input, w);
   expect_same_gsd_result(serial, parallel);
   // The engine really ran warm: one cold solve per chain, the rest warm.
   EXPECT_EQ(serial.lp_stats.cold, 4);
