@@ -109,7 +109,9 @@ int main() {
   replay_config.shards = scenario.fleet.group_count();
   replay_config.seconds_per_slot = static_cast<double>(
       bench::env_size("COCA_BENCH_DES_SLOT_SECONDS", 150));
-  replay_config.trace_slots = true;
+  // Per-slot traces are only read when they are written out.
+  const char* trace_dir = std::getenv("COCA_DES_TRACE_DIR");
+  replay_config.trace_slots = trace_dir != nullptr;
   des::ShardRunner runner(scenario.fleet, replay_config);
 
   des::ShardReplayConfig serial_config = replay_config;
@@ -132,9 +134,9 @@ int main() {
             << " threads): " << (deterministic ? "bit-identical" : "MISMATCH")
             << "\n";
 
-  if (const char* dir = std::getenv("COCA_DES_TRACE_DIR")) {
-    write_trace(dir, "coca", coca_des);
-    write_trace(dir, "carbon_unaware", unaware_des);
+  if (trace_dir != nullptr) {
+    write_trace(trace_dir, "coca", coca_des);
+    write_trace(trace_dir, "carbon_unaware", unaware_des);
   }
 
   util::Table table({"policy", "requests", "completed", "mean sojourn (s)",

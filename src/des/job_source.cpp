@@ -1,8 +1,17 @@
 #include "des/job_source.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace coca::des {
+
+namespace {
+
+/// Written so NaN fails.  An infinite rate draws zero inter-arrival gaps, so
+/// the clock would never reach the next boundary.
+bool valid_rate(double rate) { return rate >= 0.0 && std::isfinite(rate); }
+
+}  // namespace
 
 JobSource::JobSource(Engine& engine, PsQueue& queue, double rate,
                      double mean_work, double end_time, std::uint64_t seed)
@@ -12,8 +21,9 @@ JobSource::JobSource(Engine& engine, PsQueue& queue, double rate,
       mean_work_(mean_work),
       end_time_(end_time),
       rng_(seed) {
-  if (rate_ < 0.0 || mean_work_ <= 0.0) {
-    throw std::invalid_argument("JobSource: bad rate/mean_work");
+  if (!valid_rate(rate_) || !(mean_work_ > 0.0) ||
+      !std::isfinite(mean_work_) || std::isnan(end_time_)) {
+    throw std::invalid_argument("JobSource: bad rate/mean_work/end_time");
   }
   schedule_next();
 }
@@ -33,7 +43,10 @@ void JobSource::on_arrival() {
 }
 
 void JobSource::set_rate(double rate) {
-  if (rate < 0.0) throw std::invalid_argument("JobSource::set_rate: negative rate");
+  if (!valid_rate(rate)) {
+    throw std::invalid_argument(
+        "JobSource::set_rate: rate must be finite and >= 0");
+  }
   rate_ = rate;
   if (pending_ != 0) {
     engine_->cancel(pending_);

@@ -18,7 +18,8 @@ class JobSource {
   JobSource(Engine& engine, PsQueue& queue, double rate, double mean_work,
             double end_time, std::uint64_t seed);
 
-  /// Change the arrival rate from the current simulation time on.
+  /// Change the arrival rate from the current simulation time on (finite,
+  /// >= 0; anything else throws std::invalid_argument).
   void set_rate(double rate);
   std::uint64_t generated() const { return generated_; }
 

@@ -1,5 +1,8 @@
 #include "des/ps_queue.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace coca::des {
@@ -9,11 +12,17 @@ namespace {
 // 1e-9 work early is an O(1e-10 s) bias.  Virtual time rebases to 0 at every
 // empty period, so the absolute epsilon stays meaningful even in long runs.
 constexpr double kCompletionEps = 1e-9;
+
+/// Written so NaN fails: a NaN speed would freeze virtual time and stall
+/// every departure.
+bool valid_speed(double speed) { return speed > 0.0 && std::isfinite(speed); }
 }  // namespace
 
 PsQueue::PsQueue(Engine& engine, double speed)
     : engine_(&engine), speed_(speed), last_update_(engine.now()) {
-  if (speed <= 0.0) throw std::invalid_argument("PsQueue: speed must be > 0");
+  if (!valid_speed(speed)) {
+    throw std::invalid_argument("PsQueue: speed must be finite and > 0");
+  }
 }
 
 void PsQueue::advance() {
@@ -37,7 +46,7 @@ void PsQueue::schedule_departure() {
     pending_departure_ = 0;
   }
   if (jobs_.empty()) return;
-  const double min_finish = jobs_.begin()->finish_vtime;
+  const double min_finish = jobs_.front().finish_vtime;
   const double remaining_v = min_finish > vtime_ ? min_finish - vtime_ : 0.0;
   const double horizon =
       remaining_v * static_cast<double>(jobs_.size()) / speed_;
@@ -52,11 +61,16 @@ void PsQueue::record_completion(const ResidentJob& job) {
   if (sojourn_sink_ != nullptr) sojourn_sink_->record(sojourn);
 }
 
+void PsQueue::pop_front() {
+  std::pop_heap(jobs_.begin(), jobs_.end(), std::greater<ResidentJob>());
+  jobs_.pop_back();
+}
+
 std::size_t PsQueue::complete_through(double threshold) {
   std::size_t done = 0;
-  while (!jobs_.empty() && jobs_.begin()->finish_vtime <= threshold) {
-    record_completion(*jobs_.begin());
-    jobs_.erase(jobs_.begin());
+  while (!jobs_.empty() && jobs_.front().finish_vtime <= threshold) {
+    record_completion(jobs_.front());
+    pop_front();
     ++done;
   }
   return done;
@@ -71,15 +85,19 @@ void PsQueue::on_departure() {
     // Floating-point stall guard: the event fired at the scheduled finish
     // time but the clock/virtual-time could not resolve the last ulp of
     // service.  The minimum-finish job is done by construction.
-    complete_through(jobs_.begin()->finish_vtime);
+    complete_through(jobs_.front().finish_vtime);
   }
   if (jobs_.empty()) vtime_ = 0.0;  // rebase: nothing references V anymore
   schedule_departure();
 }
 
 void PsQueue::arrive(double work) {
-  if (work < 0.0) {
-    throw std::invalid_argument("PsQueue::arrive: work must be >= 0");
+  // Written so NaN fails: a NaN finish time never compares <= any
+  // threshold, so the job would never complete and the stall guard would
+  // reschedule it forever.
+  if (!(work >= 0.0) || !std::isfinite(work)) {
+    throw std::invalid_argument(
+        "PsQueue::arrive: work must be finite and >= 0");
   }
   advance();
   ++stats_.arrivals;
@@ -91,12 +109,16 @@ void PsQueue::arrive(double work) {
     record_completion(job);
     return;
   }
-  jobs_.insert({vtime_ + work, next_sequence_++, engine_->now()});
+  jobs_.push_back({vtime_ + work, next_sequence_++, engine_->now()});
+  std::push_heap(jobs_.begin(), jobs_.end(), std::greater<ResidentJob>());
   schedule_departure();
 }
 
 void PsQueue::set_speed(double speed) {
-  if (speed <= 0.0) throw std::invalid_argument("PsQueue::set_speed: speed must be > 0");
+  if (!valid_speed(speed)) {
+    throw std::invalid_argument(
+        "PsQueue::set_speed: speed must be finite and > 0");
+  }
   advance();
   speed_ = speed;
   schedule_departure();

@@ -9,16 +9,18 @@
 //
 // Bookkeeping is in *virtual time* (attained service per resident job):
 // V(t) advances at rate speed/n(t), a job arriving at V_a with work w
-// departs when V reaches V_a + w, and the resident jobs live in a set
-// ordered by finish virtual time.  Arrival, departure and speed change are
-// all O(log n) — the O(n) per-event rescans of the naive remaining-work
-// representation made busy periods O(n^2) and throttled the sharded
-// request-level replay.  V rebases to zero whenever the queue empties, so
-// precision never degrades over long replays.
+// departs when V reaches V_a + w, and the resident jobs live in a binary
+// min-heap keyed on (finish virtual time, arrival sequence).  Arrival,
+// departure and speed change are all O(log n) — the O(n) per-event rescans
+// of the naive remaining-work representation made busy periods O(n^2) and
+// throttled the sharded request-level replay.  The heap is a flat vector, so
+// once it has grown to the peak population arrivals and departures allocate
+// nothing.  V rebases to zero whenever the queue empties, so precision never
+// degrades over long replays.
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
+#include <vector>
 
 #include "des/engine.hpp"
 #include "obs/tail_histogram.hpp"
@@ -27,7 +29,7 @@ namespace coca::des {
 
 class PsQueue {
  public:
-  /// `speed`: service capacity in work units per second (> 0).
+  /// `speed`: service capacity in work units per second (finite, > 0).
   PsQueue(Engine& engine, double speed);
 
   /// Change the service speed at the current simulation time (DVFS).
@@ -36,7 +38,7 @@ class PsQueue {
 
   /// A job with `work` service requirement arrives now.  Zero-work jobs
   /// (the exponential sampler can return exactly 0) complete immediately
-  /// with zero sojourn; negative work throws.
+  /// with zero sojourn; negative or non-finite work throws.
   void arrive(double work);
 
   /// Per-completion sojourn times additionally stream into `sink` when set
@@ -74,11 +76,13 @@ class PsQueue {
     std::uint64_t sequence = 0; ///< arrival order; breaks finish-time ties
     double arrival_time = 0.0;  ///< wall-clock arrival (sojourn accounting)
 
-    bool operator<(const ResidentJob& other) const {
+    /// Heap order: std::*_heap with this comparison keeps the job that
+    /// finishes first (ties: arrived first) at the front.
+    bool operator>(const ResidentJob& other) const {
       if (finish_vtime != other.finish_vtime) {
-        return finish_vtime < other.finish_vtime;
+        return finish_vtime > other.finish_vtime;
       }
-      return sequence < other.sequence;
+      return sequence > other.sequence;
     }
   };
 
@@ -90,10 +94,12 @@ class PsQueue {
   /// Complete (in finish order) every job with finish_vtime <= threshold.
   std::size_t complete_through(double threshold);
   void record_completion(const ResidentJob& job);
+  /// Remove the front (first-finishing) job from the heap.
+  void pop_front();
 
   Engine* engine_;
   double speed_;
-  std::set<ResidentJob> jobs_;  ///< ordered by (finish_vtime, sequence)
+  std::vector<ResidentJob> jobs_;  ///< min-heap on (finish_vtime, sequence)
   double vtime_ = 0.0;          ///< attained service per resident job
   double last_update_ = 0.0;
   std::uint64_t next_sequence_ = 0;

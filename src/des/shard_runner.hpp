@@ -3,14 +3,21 @@
 //
 // The fleet's server groups are partitioned round-robin into shards; each
 // shard owns a private des::Engine with one representative M/G/1/PS server
-// per resident group, and shards simulate a slot's request arrivals
-// independently on util::ThreadPool workers.  Shards synchronize only at
-// COCA slot boundaries (the Wei & Neely asynchronous-control structure, and
-// ROOT-Sim's conservative-lookahead specialization where the lookahead
-// window is the slot): at each boundary the controller's decisions are
-// applied to every group — speed x_i(t) via PsQueue::set_speed, per-server
-// arrival rate via the load split — and then every shard runs forward to
-// the next boundary with no cross-shard events.
+// per resident group.  The controller's decisions are all recorded before
+// the replay starts, so a shard never needs another shard's state: each
+// shard replays the whole horizon as one util::ThreadPool task (the Wei &
+// Neely asynchronous-control structure, where the slot is only a local
+// decision epoch).  At each of its slot boundaries a shard applies the
+// decisions to its own groups — speed x_i(t) via PsQueue::set_speed,
+// per-server arrival rate via the load split — and runs its engine forward
+// to the next boundary.  The only synchronization is the join at the end.
+//
+// Each shard owns one cache-line-aligned object: its engine, and its groups'
+// queue, source and histogram by value in one heap block that only the
+// shard's worker writes.  Two workers therefore never write to the same
+// cache line.
+// Once warm, the replay's hot path allocates nothing: the engine keeps its
+// callbacks in a slot store and each queue its jobs in a flat heap.
 //
 // Determinism contract (mirrors the GSD/sweep substrate):
 //   * group g draws from the independent stream stream_seed(seed, g), keyed
@@ -19,10 +26,12 @@
 //     across shard counts;
 //   * per-request sojourn times stream into per-group obs::TailHistogram
 //     bins (integer counts, exact merge), merged in group order; all
-//     floating-point reductions run serially in group order.
+//     floating-point reductions run serially in group order;
+//   * per-slot traces are integer tallies and sparse (bin, count) histogram
+//     deltas recorded by each shard, summed in slot order after the join.
 //
-// Spans: `des_replay` wraps the run, one `des_slot` per slot, and each
-// shard's work lands under `des_shard[s]` via the captured parent path.
+// Spans: `des_replay` wraps the run, and each shard's horizon task lands
+// under `des_shard[s]` via the captured parent path.
 
 #include <cstddef>
 #include <cstdint>
@@ -109,7 +118,9 @@ class ShardRunner {
   std::size_t threads() const { return pool_.thread_count(); }
 
   /// Replay one allocation per slot.  Every allocation must match the
-  /// fleet's group count; throws std::invalid_argument otherwise.
+  /// fleet's group count, and every group decision must have finite,
+  /// non-negative `active` and `load` and a `level` inside the group's spec;
+  /// otherwise throws std::invalid_argument before simulating anything.
   ShardReplayResult replay(const std::vector<dc::Allocation>& decisions);
 
  private:

@@ -68,6 +68,11 @@ void TailHistogram::record(double value) {
   ++total_;
 }
 
+void TailHistogram::add_to_bin(std::size_t index, std::uint64_t count) {
+  counts_.at(index) += count;
+  total_ += count;
+}
+
 void TailHistogram::merge(const TailHistogram& other) {
   if (!same_config(config_, other.config_)) {
     throw std::invalid_argument("TailHistogram::merge: config mismatch");
@@ -91,22 +96,6 @@ double TailHistogram::quantile(double p) const {
     if (cumulative >= rank) return bin_upper_edge(i);
   }
   return bin_upper_edge(counts_.size() - 1);
-}
-
-TailHistogram TailHistogram::since(const TailHistogram& earlier) const {
-  if (!same_config(config_, earlier.config_)) {
-    throw std::invalid_argument("TailHistogram::since: config mismatch");
-  }
-  TailHistogram delta(config_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] < earlier.counts_[i]) {
-      throw std::invalid_argument(
-          "TailHistogram::since: earlier snapshot has higher counts");
-    }
-    delta.counts_[i] = counts_[i] - earlier.counts_[i];
-  }
-  delta.total_ = total_ - earlier.total_;
-  return delta;
 }
 
 }  // namespace coca::obs

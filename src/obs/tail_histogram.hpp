@@ -46,6 +46,12 @@ class TailHistogram {
   /// merging is exact and order-independent.
   void merge(const TailHistogram& other);
 
+  /// Add `count` records to bin `index` (a counts() index; out of range
+  /// throws std::out_of_range).  Rebuilds a histogram from sparse
+  /// (bin, count) deltas — per-slot tails from each shard's per-slot bin
+  /// increases — with integer adds only, so the result is exact.
+  void add_to_bin(std::size_t index, std::uint64_t count);
+
   /// Counts recorded so far (including under/overflow bins).
   std::uint64_t total() const { return total_; }
 
@@ -53,11 +59,6 @@ class TailHistogram {
   /// containing the ceil(p * total)-th ranked request).  p is clamped to
   /// (0, 1]; returns 0 when the histogram is empty.
   double quantile(double p) const;
-
-  /// Element-wise difference against an earlier snapshot of the same
-  /// histogram (per-slot tails from cumulative per-group histograms).
-  /// Throws std::invalid_argument on config mismatch or negative deltas.
-  TailHistogram since(const TailHistogram& earlier) const;
 
   const Config& config() const { return config_; }
   const std::vector<std::uint64_t>& counts() const { return counts_; }

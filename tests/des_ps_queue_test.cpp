@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -82,6 +84,54 @@ TEST(PsQueue, Validation) {
   PsQueue queue(engine, 1.0);
   EXPECT_THROW(queue.arrive(-1.0), std::invalid_argument);
   EXPECT_THROW(queue.set_speed(-1.0), std::invalid_argument);
+}
+
+TEST(PsQueue, RejectsNonFiniteSpeedAndWork) {
+  // Regression: the `speed <= 0` / `work < 0` guards let NaN through.  A NaN
+  // speed was accepted outright, and arrive(NaN) hung forever: the NaN
+  // finish time never compares <= any threshold, so the stall guard
+  // rescheduled the departure without ever completing the job.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Engine engine;
+  EXPECT_THROW(PsQueue(engine, nan), std::invalid_argument);
+  EXPECT_THROW(PsQueue(engine, inf), std::invalid_argument);
+  PsQueue queue(engine, 1.0);
+  EXPECT_THROW(queue.set_speed(nan), std::invalid_argument);
+  EXPECT_THROW(queue.set_speed(inf), std::invalid_argument);
+  EXPECT_EQ(queue.speed(), 1.0);
+  EXPECT_THROW(queue.arrive(nan), std::invalid_argument);
+  EXPECT_THROW(queue.arrive(inf), std::invalid_argument);
+  EXPECT_EQ(queue.jobs_in_system(), 0u);
+  EXPECT_EQ(queue.stats().arrivals, 0u);
+  // The queue is still usable after rejecting bad input.
+  queue.arrive(1.0);
+  engine.run_all();
+  EXPECT_EQ(queue.stats().completions, 1u);
+  EXPECT_NEAR(engine.now(), 1.0, 1e-12);
+}
+
+TEST(JobSource, RejectsNonFiniteRates) {
+  // Regression: set_rate(NaN) was accepted, and set_rate(Inf) drew zero
+  // inter-arrival gaps forever, so run_until never reached its boundary.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Engine engine;
+  PsQueue queue(engine, 1e9);
+  EXPECT_THROW(JobSource(engine, queue, nan, 1.0, 10.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(JobSource(engine, queue, inf, 1.0, 10.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(JobSource(engine, queue, 1.0, nan, 10.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(JobSource(engine, queue, 1.0, 1.0, nan, 1),
+               std::invalid_argument);
+  JobSource source(engine, queue, 0.0, 1.0, 10.0, 1);
+  EXPECT_THROW(source.set_rate(nan), std::invalid_argument);
+  EXPECT_THROW(source.set_rate(inf), std::invalid_argument);
+  EXPECT_THROW(source.set_rate(-1.0), std::invalid_argument);
+  engine.run_until(10.0);  // terminates: the rate stayed 0
+  EXPECT_EQ(source.generated(), 0u);
 }
 
 TEST(PsQueue, ZeroWorkArrivalCompletesImmediately) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -65,22 +66,30 @@ TEST(TailHistogram, MergeIsExactAndOrderIndependent) {
   EXPECT_EQ(forward.total(), 4000u);
 }
 
-TEST(TailHistogram, SinceYieldsPerSlotDeltas) {
-  TailHistogram cumulative;
-  cumulative.record(1.0);
-  const TailHistogram snapshot = cumulative;
-  cumulative.record(2.0);
-  cumulative.record(4.0);
-  const TailHistogram delta = cumulative.since(snapshot);
-  EXPECT_EQ(delta.total(), 2u);
-  EXPECT_GE(delta.quantile(1.0), 4.0);
-  EXPECT_THROW((void)snapshot.since(cumulative), std::invalid_argument);
+TEST(TailHistogram, AddToBinRebuildsSparseDeltas) {
+  // The shard runner rebuilds each slot's histogram from sparse
+  // (bin, count) deltas; the rebuild must equal recording the same values.
+  TailHistogram recorded;
+  recorded.record(1.0);
+  recorded.record(2.0);
+  recorded.record(2.0);
+  recorded.record(4.0);
+  TailHistogram rebuilt;
+  const auto& counts = recorded.counts();
+  for (std::size_t bin = 0; bin < counts.size(); ++bin) {
+    if (counts[bin] != 0) rebuilt.add_to_bin(bin, counts[bin]);
+  }
+  EXPECT_EQ(rebuilt.counts(), recorded.counts());
+  EXPECT_EQ(rebuilt.total(), 4u);
+  EXPECT_EQ(rebuilt.quantile(0.5), recorded.quantile(0.5));
+  EXPECT_GE(rebuilt.quantile(1.0), 4.0);
+  EXPECT_THROW(rebuilt.add_to_bin(counts.size(), 1), std::out_of_range);
+  EXPECT_EQ(rebuilt.total(), 4u);
 }
 
 TEST(TailHistogram, ConfigMismatchAndBadConfigThrow) {
   TailHistogram narrow(TailHistogram::Config{-10, 10, 16});
   EXPECT_THROW(TailHistogram().merge(narrow), std::invalid_argument);
-  EXPECT_THROW((void)TailHistogram().since(narrow), std::invalid_argument);
   EXPECT_THROW((TailHistogram(TailHistogram::Config{5, 5, 16})),
                std::invalid_argument);
   EXPECT_THROW((TailHistogram(TailHistogram::Config{-5, 5, 0})),
@@ -225,6 +234,109 @@ TEST(ShardRunner, TracingIsAPureObservation) {
   EXPECT_EQ(arrivals, traced.requests);
   EXPECT_EQ(completions, traced.completions);
   EXPECT_EQ(traced.slot_traces.back().in_flight, traced.in_flight);
+}
+
+TEST(ShardRunner, SlotTracesAreInvariantToShardAndThreadLayout) {
+  // Each shard records its own per-slot tallies and sparse histogram
+  // deltas; the rows assembled after the join must not depend on how the
+  // groups were dealt out or how many workers ran them.
+  const dc::Fleet fleet = dc::make_homogeneous_fleet(5, 10);
+  const auto decisions = diurnal_decisions(fleet, 6);
+  const auto reference = run_layout(fleet, decisions, 1, 1, true);
+  ASSERT_EQ(reference.slot_traces.size(), decisions.size());
+  const std::array<std::pair<std::size_t, std::size_t>, 4> layouts{
+      {{5, 1}, {3, 4}, {5, 2}, {2, 8}}};
+  for (const auto& [shards, threads] : layouts) {
+    const auto traced = run_layout(fleet, decisions, shards, threads, true);
+    expect_bit_identical(reference, traced);
+    ASSERT_EQ(traced.slot_traces.size(), reference.slot_traces.size());
+    for (std::size_t t = 0; t < traced.slot_traces.size(); ++t) {
+      const DesSlotTrace& want = reference.slot_traces[t];
+      const DesSlotTrace& got = traced.slot_traces[t];
+      EXPECT_EQ(got.t, want.t);
+      EXPECT_EQ(got.arrivals, want.arrivals);
+      EXPECT_EQ(got.completions, want.completions);
+      EXPECT_EQ(got.in_flight, want.in_flight);
+      EXPECT_EQ(got.p50_s, want.p50_s);  // bitwise
+      EXPECT_EQ(got.p99_s, want.p99_s);
+      EXPECT_EQ(got.p999_s, want.p999_s);
+      EXPECT_EQ(to_json_line(got), to_json_line(want))
+          << shards << " shards, " << threads << " threads, slot " << t;
+    }
+  }
+}
+
+TEST(ShardRunner, SlotTracesMatchPrefixReplays) {
+  // An independent reference for the per-slot rows: replaying only the
+  // first t + 1 slots ends exactly at slot t's boundary, so two adjacent
+  // prefix replays bracket slot t.  Their difference must reproduce the
+  // traced row: counts, residency and the slot's own quantiles.
+  const dc::Fleet fleet = dc::make_homogeneous_fleet(3, 6);
+  const auto decisions = diurnal_decisions(fleet, 4);
+  const auto traced = run_layout(fleet, decisions, 3, 2, true);
+  ASSERT_EQ(traced.slot_traces.size(), decisions.size());
+  ShardReplayResult before = run_layout(fleet, {}, 1, 1, false);
+  for (std::size_t t = 0; t < decisions.size(); ++t) {
+    const std::vector<dc::Allocation> prefix(decisions.begin(),
+                                             decisions.begin() + t + 1);
+    const auto upto = run_layout(fleet, prefix, 1, 1, false);
+    TailHistogram slot_hist;
+    const auto& now = upto.sojourn.counts();
+    const auto& then = before.sojourn.counts();
+    for (std::size_t bin = 0; bin < now.size(); ++bin) {
+      slot_hist.add_to_bin(bin, now[bin] - then[bin]);
+    }
+    const DesSlotTrace& row = traced.slot_traces[t];
+    EXPECT_EQ(row.arrivals, upto.requests - before.requests) << "slot " << t;
+    EXPECT_EQ(row.completions, upto.completions - before.completions);
+    EXPECT_EQ(row.in_flight, upto.in_flight);
+    EXPECT_EQ(row.p50_s, slot_hist.quantile(0.50));
+    EXPECT_EQ(row.p99_s, slot_hist.quantile(0.99));
+    EXPECT_EQ(row.p999_s, slot_hist.quantile(0.999));
+    before = upto;
+  }
+}
+
+TEST(ShardRunner, RejectsNonFiniteOrOutOfSpecDecisions) {
+  // Regression: an infinite load reached JobSource::set_rate and hung the
+  // replay; NaN loads and out-of-range levels were not checked either.
+  // Every decision is validated before any engine is built.
+  const dc::Fleet fleet = dc::make_homogeneous_fleet(3, 4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto good = diurnal_decisions(fleet, 3);
+  ShardReplayConfig config;
+  config.seconds_per_slot = 30.0;  // run_layout's slot length
+  config.shards = 3;
+  config.threads = 2;
+  ShardRunner runner(fleet, config);
+  const auto corrupt = [&](auto&& edit) {
+    auto decisions = good;
+    edit(decisions.back()[1]);
+    return decisions;
+  };
+  const std::vector<std::vector<dc::Allocation>> bad{
+      corrupt([&](dc::GroupAllocation& a) { a.load = inf; }),
+      corrupt([&](dc::GroupAllocation& a) { a.load = nan; }),
+      corrupt([&](dc::GroupAllocation& a) { a.load = -1.0; }),
+      corrupt([&](dc::GroupAllocation& a) { a.active = nan; }),
+      corrupt([&](dc::GroupAllocation& a) { a.active = inf; }),
+      corrupt([&](dc::GroupAllocation& a) { a.active = -2.0; }),
+      corrupt([&](dc::GroupAllocation& a) {
+        a.level = fleet.group(1).spec().level_count();
+      }),
+      corrupt([&](dc::GroupAllocation& a) {
+        a.active = 1e-300;
+        a.load = 1e300;  // per-server rate overflows to Inf
+      }),
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW((void)runner.replay(bad[i]), std::invalid_argument)
+        << "case " << i;
+  }
+  // The runner keeps no state from a rejected replay.
+  expect_bit_identical(runner.replay(good),
+                       run_layout(fleet, good, 1, 1, false));
 }
 
 TEST(ShardRunner, ValidatesConfigAndDecisions) {
