@@ -40,6 +40,7 @@ double GsdSolver::acceptance_probability(double delta,
 GsdResult GsdSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
                            const SlotWeights& weights,
                            std::optional<dc::Allocation> initial) const {
+  validate(input);
   const int chains = std::max(1, config_.chains);
   if (chains == 1) {
     GsdResult result = [&] {

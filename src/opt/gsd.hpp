@@ -66,7 +66,8 @@ class GsdSolver {
   explicit GsdSolver(GsdConfig config = {}) : config_(config) {}
 
   /// Run Algorithm 2 from an optional initial configuration (defaults to
-  /// everything on at top speed).
+  /// everything on at top speed).  Throws std::invalid_argument on an input
+  /// validate() rejects.
   GsdResult solve(const dc::Fleet& fleet, const SlotInput& input,
                   const SlotWeights& weights,
                   std::optional<dc::Allocation> initial = std::nullopt) const;

@@ -11,24 +11,6 @@
 namespace coca::opt {
 namespace {
 
-constexpr double kTiny = 1e-12;
-
-/// Per-server cost of running at level data (rate s, facility static power
-/// ps, facility dynamic slope c) with per-server load a.
-double server_cost(double mu, double v_beta, double ps, double c, double s,
-                   double a) {
-  return mu * (ps + c * a) + v_beta * a / (s - a);
-}
-
-/// Per-server best response load to workload price nu.
-double response(double nu, double mu, double v_beta, double c, double s,
-                double gamma) {
-  const double threshold = mu * c + v_beta / s;
-  if (nu <= threshold) return 0.0;
-  const double a = s - std::sqrt(v_beta * s / (nu - mu * c));
-  return std::clamp(a, 0.0, gamma * s);
-}
-
 struct GroupLevelView {
   double rate = 0.0;        ///< s_k
   double slope = 0.0;       ///< facility dynamic slope pue*p_c/s
@@ -53,7 +35,8 @@ struct GroupView {
     bool found = false;
     for (std::size_t k = 0; k < levels.size(); ++k) {
       const auto& lv = levels[k];
-      const double a = response(nu, mu, v_beta, lv.slope, lv.rate, gamma);
+      const double a =
+          server_response(nu, mu, v_beta, lv.slope, lv.rate, gamma * lv.rate);
       if (a <= kTiny) continue;
       const double profit =
           nu * a - server_cost(mu, v_beta, lv.static_kw, lv.slope, lv.rate, a);
@@ -244,7 +227,7 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
         servers = std::clamp(needed / a.per_load, 0.0, servers);
         total = lambda;
       }
-      if (config_.integer_counts) servers = std::ceil(servers - 1e-9);
+      servers = std::ceil(servers - 1e-9);
       solution.alloc[a.group].level = a.level;
       solution.alloc[a.group].active = servers;
     }
@@ -268,6 +251,7 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
 SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
                                  const SlotWeights& weights,
                                  LoadLpContext* lp) const {
+  validate(input);
   obs::count("ladder.solves");
   std::optional<LoadLpContext> local;
   if (lp == nullptr) lp = &local.emplace(fleet);
@@ -334,47 +318,34 @@ bool LadderSolver::polish(const dc::Fleet& fleet, const SlotInput& input,
                           const SlotWeights& weights, SlotSolution& solution,
                           LoadLpContext& lp) const {
   bool improved = false;
-  std::vector<dc::Allocation> batch;
-  std::vector<LoadBalanceResult> balanced;
+  dc::Allocation candidate;
   for (std::size_t g = 0; g < fleet.group_count(); ++g) {
     const auto& group = fleet.group(g);
     const double servers = static_cast<double>(group.server_count());
     const double step =
         std::max(1.0, std::floor(servers * config_.polish_count_step));
     const double current_active = solution.alloc[g].active;
-    std::vector<double> counts = {current_active - step, current_active + step,
-                                  0.0, servers};
-    // Batch-evaluate the whole (level, count) grid for this group.  Each
-    // candidate fully determines its solve (levels/counts are read, loads
-    // are overwritten), so evaluating upfront and replaying the sequential
-    // adopt/skip logic below reproduces the one-at-a-time loop bit-for-bit;
-    // mid-grid adoptions only change group g's entry, which every candidate
-    // overwrites anyway.
-    batch.clear();
+    const double counts[] = {current_active - step, current_active + step, 0.0,
+                             servers};
     for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
       for (double count : counts) {
-        count = std::clamp(count, 0.0, servers);
-        if (config_.integer_counts) count = std::round(count);
-        batch.push_back(solution.alloc);
-        batch.back()[g].level = k;
-        batch.back()[g].active = count;
-      }
-    }
-    lp.solve_batch(batch, input, weights, balanced);
-    std::size_t idx = 0;
-    for (std::size_t k = 0; k < group.spec().level_count(); ++k) {
-      for (double count : counts) {
-        count = std::clamp(count, 0.0, servers);
-        if (config_.integer_counts) count = std::round(count);
-        const std::size_t i = idx++;
+        count = std::round(std::clamp(count, 0.0, servers));
+        // Each candidate differs from the solution only in group g, whose
+        // level and count it sets; solve() overwrites every load.
+        candidate = solution.alloc;
+        candidate[g].level = k;
+        candidate[g].active = count;
+        // The current point is solved too, before it is skipped: warm
+        // solves depend on the context's solve history.
+        const LoadBalanceResult balanced = lp.solve(candidate, input, weights);
         if (k == solution.alloc[g].level && count == current_active) continue;
-        if (balanced[i].feasible &&
-            balanced[i].outcome.objective <
+        if (balanced.feasible &&
+            balanced.outcome.objective <
                 solution.outcome.objective * (1.0 - 1e-10)) {
-          solution.alloc = batch[i];
-          solution.outcome = balanced[i].outcome;
-          solution.regime = balanced[i].regime;
-          solution.effective_price = balanced[i].effective_price;
+          solution.alloc = candidate;
+          solution.outcome = balanced.outcome;
+          solution.regime = balanced.regime;
+          solution.effective_price = balanced.effective_price;
           improved = true;
         }
       }

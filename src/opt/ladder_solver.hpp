@@ -27,8 +27,6 @@
 namespace coca::opt {
 
 struct LadderConfig {
-  /// Round active counts up to integers after the relaxation.
-  bool integer_counts = true;
   /// Local-search passes over (group, level, count-step) moves; 0 disables.
   int polish_passes = 0;
   /// Count step for polish moves, as a fraction of the group size.
@@ -49,6 +47,7 @@ class LadderSolver {
 
   /// Solve P3 for one slot.  Returns an infeasible solution (objective +inf)
   /// if even the full fleet at top speed cannot serve lambda under gamma.
+  /// Throws std::invalid_argument on an input validate() rejects.
   /// An optional LoadLpContext (built for the *same* fleet) carries the
   /// load-LP caches across repeated solves — the capped solvers reuse one
   /// across their multiplier bisections; when omitted a solve-local context
@@ -68,11 +67,9 @@ class LadderSolver {
                             const SlotWeights& weights, double mu,
                             LoadLpContext& lp) const;
 
-  /// One local-search polish pass; returns true if it improved the solution.
-  /// The (group, level, count-step) grid is batch-evaluated through the
-  /// context, then the sequential adopt/skip logic is replayed — candidate
-  /// solves are independent of mid-pass adoptions (balance overwrites
-  /// loads), so the result is bit-identical to solve-then-adopt.
+  /// One local-search polish pass over (group, level, count-step) moves,
+  /// each solved through the context and adopted when it improves the
+  /// objective; returns true if it improved the solution.
   bool polish(const dc::Fleet& fleet, const SlotInput& input,
               const SlotWeights& weights, SlotSolution& solution,
               LoadLpContext& lp) const;

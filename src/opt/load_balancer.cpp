@@ -10,8 +10,6 @@
 namespace coca::opt {
 namespace {
 
-constexpr double kTiny = 1e-12;
-
 /// One active (group, level) slice seen by the dual decomposition: rate,
 /// facility-referenced dynamic slope, active count.
 struct ServerClass {
@@ -39,15 +37,6 @@ std::vector<ServerClass> active_classes(const dc::Fleet& fleet,
     classes.push_back(sc);
   }
   return classes;
-}
-
-/// Per-server best response to workload price nu at effective energy price mu.
-double server_response(const ServerClass& sc, double nu, double mu,
-                       double v_beta) {
-  const double threshold = mu * sc.slope + v_beta / sc.rate;
-  if (nu <= threshold) return 0.0;
-  const double a = sc.rate - std::sqrt(v_beta * sc.rate / (nu - mu * sc.slope));
-  return std::clamp(a, 0.0, sc.cap_per);
 }
 
 /// Push loads so they sum exactly to lambda, respecting per-class caps.
@@ -131,7 +120,8 @@ double balance_loads_linear(const dc::Fleet& fleet, dc::Allocation& alloc,
     auto supply_gap = [&](double price) {
       double total = 0.0;
       for (const auto& sc : classes) {
-        total += sc.active * server_response(sc, price, mu, v_beta);
+        total += sc.active * server_response(price, mu, v_beta, sc.slope,
+                                              sc.rate, sc.cap_per);
       }
       return total - lambda;
     };
@@ -142,7 +132,9 @@ double balance_loads_linear(const dc::Fleet& fleet, dc::Allocation& alloc,
     const auto result = util::bisect(supply_gap, lo, hi, options);
     nu = result.x;
     for (std::size_t i = 0; i < classes.size(); ++i) {
-      loads[i] = classes[i].active * server_response(classes[i], nu, mu, v_beta);
+      const auto& sc = classes[i];
+      loads[i] = sc.active *
+                 server_response(nu, mu, v_beta, sc.slope, sc.rate, sc.cap_per);
     }
   }
   settle_residual(classes, loads, lambda);

@@ -16,9 +16,36 @@
 // renewables cover everything, otherwise an outer bisection pins the optimum
 // to the p = r boundary.
 
+#include <algorithm>
+#include <cmath>
+
 #include "opt/slot_problem.hpp"
 
 namespace coca::opt {
+
+/// Loads, active counts and lambdas at or below this are treated as zero by
+/// every load-clearing solver (the reference, LoadLpContext and the ladder).
+inline constexpr double kTiny = 1e-12;
+
+/// Per-server cost of running at a level with rate s, facility static power
+/// ps and facility dynamic slope c under per-server load a, at effective
+/// energy price mu: mu * (ps + c*a) + V*beta * a/(s - a).
+inline double server_cost(double mu, double v_beta, double ps, double c,
+                          double s, double a) {
+  return mu * (ps + c * a) + v_beta * a / (s - a);
+}
+
+/// The closed-form per-server best response to workload price nu (see the
+/// file comment): zero below the activation threshold mu*c + V*beta/s,
+/// otherwise s - sqrt(V*beta*s / (nu - mu*c)) clamped to [0, cap], where cap
+/// is the utilization cap gamma*s.
+inline double server_response(double nu, double mu, double v_beta, double c,
+                              double s, double cap) {
+  const double threshold = mu * c + v_beta / s;
+  if (nu <= threshold) return 0.0;
+  const double a = s - std::sqrt(v_beta * s / (nu - mu * c));
+  return std::clamp(a, 0.0, cap);
+}
 
 /// Which branch of the [p - r]^+ kink the optimum landed on.
 enum class PowerRegime {

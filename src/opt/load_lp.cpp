@@ -5,14 +5,14 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "obs/span.hpp"
 #include "util/solvers.hpp"
 
 namespace coca::opt {
 namespace {
-
-constexpr double kTiny = 1e-12;  // matches load_balancer.cpp
 
 // Positive floor for the masked-out lanes of the response kernel: selected
 // lanes (nu above the activation threshold) always have nu - mu*c >
@@ -60,6 +60,15 @@ std::uint64_t fnv1a_alloc(const dc::Allocation& alloc) {
   std::uint64_t hash = h[0];
   for (int k = 1; k < 4; ++k) hash = (hash ^ h[k]) * kPrime;
   return hash;
+}
+
+void check_size(const dc::Allocation& alloc, const dc::Fleet& fleet) {
+  if (alloc.size() != fleet.group_count()) {
+    throw std::out_of_range("LoadLpContext: allocation has " +
+                            std::to_string(alloc.size()) +
+                            " groups, the fleet " +
+                            std::to_string(fleet.group_count()));
+  }
 }
 
 }  // namespace
@@ -122,6 +131,22 @@ void LoadLpContext::refresh_tables(const SlotWeights& weights) {
   tables_gamma_ = weights.gamma;
 }
 
+void LoadLpContext::check_level(std::size_t g,
+                                const dc::GroupAllocation& a) const {
+  if (a.active > kTiny && a.level >= level_offset_[g + 1] - level_offset_[g]) {
+    throw std::out_of_range("LoadLpContext: group " + std::to_string(g) +
+                            " level " + std::to_string(a.level) +
+                            " out of range");
+  }
+}
+
+bool LoadLpContext::off_spec(std::size_t g,
+                             const dc::GroupAllocation& a) const {
+  return a.active < 0.0 || (a.active > 0.0 && a.active <= kTiny) ||
+         a.active > server_count_[g] * (1.0 + 1e-9) ||
+         a.level >= level_offset_[g + 1] - level_offset_[g];
+}
+
 bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc,
                                       bool dead_lanes) {
   const std::size_t groups = alloc.size();
@@ -139,7 +164,11 @@ bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc,
     // Large diffs: rebuilding is cheaper.
     const bool was_in = cls_key_[2 * g + 1] > kTiny;
     const bool now_in = ac > kTiny;
+    check_level(g, alloc[g]);  // before the patch reads this group's tables
     if (was_in != now_in && !dead_lanes) return false;
+    const bool off = off_spec(g, alloc[g]);
+    off_spec_groups_ += static_cast<int>(off) - static_cast<int>(off_spec_[g]);
+    off_spec_[g] = off;
     if (was_in || now_in) {
       if (++patched > 8) return false;
       const std::int32_t i = cls_index_[g];
@@ -188,11 +217,12 @@ bool LoadLpContext::try_patch_classes(const dc::Allocation& alloc,
 
 void LoadLpContext::build_classes(const dc::Allocation& alloc,
                                   const SlotWeights& weights, bool dead_lanes) {
-  if (classes_ready_) return;  // same alloc/weights for the whole solve()
   const bool tables_fresh =
       weights.pue == tables_pue_ && weights.gamma == tables_gamma_;
   refresh_tables(weights);
   if (tables_fresh && try_patch_classes(alloc, dead_lanes)) return;
+  // Validate every level before the rebuild touches any state.
+  for (std::size_t g = 0; g < alloc.size(); ++g) check_level(g, alloc[g]);
   dead_lanes_ = dead_lanes;
   cls_key_.clear();
   dirty_.clear();
@@ -208,8 +238,12 @@ void LoadLpContext::build_classes(const dc::Allocation& alloc,
   cls_stat_.clear();
   cls_dyn_.clear();
   cls_index_.assign(alloc.size(), -1);
+  off_spec_.assign(alloc.size(), false);
+  off_spec_groups_ = 0;
   cls_key_.resize(2 * alloc.size());
   for (std::size_t g = 0; g < alloc.size(); ++g) {
+    off_spec_[g] = off_spec(g, alloc[g]);
+    off_spec_groups_ += static_cast<int>(off_spec_[g]);
     cls_key_[2 * g] = static_cast<double>(alloc[g].level);
     cls_key_[2 * g + 1] = alloc[g].active;
     if (alloc[g].active <= kTiny && !dead_lanes) continue;
@@ -556,106 +590,36 @@ double LoadLpContext::solve_linear_built(double lambda, double mu,
   return nu;
 }
 
-double LoadLpContext::solve_linear(dc::Allocation& alloc, double lambda,
-                                   double mu, const SlotWeights& weights) {
+double LoadLpContext::clear_lambda(dc::Allocation& alloc, double lambda,
+                                   double mu, const SlotWeights& weights,
+                                   double warm_nu) {
   for (auto& a : alloc) a.load = 0.0;
   if (lambda <= kTiny) return 0.0;
-  build_classes(alloc, weights, false);
-  const double nu = solve_linear_built(lambda, mu, weights, 0.0);
-  if (nu < 0.0) return nu;
-  scatter_loads(alloc);
+  const double nu = solve_linear_built(lambda, mu, weights, warm_nu);
+  if (nu >= 0.0) scatter_loads(alloc);
   return nu;
 }
 
-SlotOutcome LoadLpContext::outcome_at(const dc::Allocation& alloc,
-                                      const SlotInput& input,
-                                      const SlotWeights& weights) const {
-  // See the declaration comment: this mirrors opt::evaluate() check-for-
-  // check and expression-for-expression over the flat tables; every early
-  // exit routes through the reference so diagnostics (and throws) stay
-  // exactly the reference's.
-  const std::size_t groups = alloc.size();
-  if (groups != fleet_->group_count() || weights.gamma <= 0.0 ||
+double LoadLpContext::solve_linear(dc::Allocation& alloc, double lambda,
+                                   double mu, const SlotWeights& weights) {
+  check_size(alloc, *fleet_);
+  if (lambda > kTiny) build_classes(alloc, weights, false);
+  return clear_lambda(alloc, lambda, mu, weights, 0.0);
+}
+
+SlotOutcome LoadLpContext::lane_outcome(const dc::Allocation& alloc,
+                                        const SlotInput& input,
+                                        const SlotWeights& weights) const {
+  // See the declaration comment.  Lanes cover every group in group order
+  // (inactive groups keep dead lanes), so the in-order sums below visit
+  // groups exactly as evaluate() does; dead and zero-load lanes contribute an
+  // exact +0.0, which is bitwise-neutral in these nonnegative accumulations.
+  if (off_spec_groups_ > 0 || input.lambda <= kTiny || weights.gamma <= 0.0 ||
       weights.gamma >= 1.0) {
     return evaluate(*fleet_, alloc, input, weights);
   }
   constexpr double kTol = 1e-6;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto& a = alloc[g];
-    if (a.level >= level_offset_[g + 1] - level_offset_[g] ||
-        a.active < 0.0 || a.active > server_count_[g] * (1.0 + 1e-9) ||
-        a.load < 0.0) {
-      // Includes the reference-legal tolerance slivers (e.g. active in
-      // [-1e-6, 0)) where evaluate()'s own power model would throw — the
-      // reference path reproduces that behavior exactly.
-      return evaluate(*fleet_, alloc, input, weights);
-    }
-    const double rate = rate_table_[level_offset_[g] + a.level];
-    const double cap = weights.gamma * rate * std::max(0.0, a.active);
-    if (a.load > cap * (1.0 + 1e-6) + kTol) {
-      return evaluate(*fleet_, alloc, input, weights);
-    }
-  }
-  double served = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) served += alloc[g].load;
-  if (std::abs(served - input.lambda) >
-      1e-6 * std::max(1.0, input.lambda) + 1e-6) {
-    return evaluate(*fleet_, alloc, input, weights);  // sets the reason
-  }
-  double it = 0.0;
-  double delay_jobs = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto& a = alloc[g];
-    if (a.active == 0.0) {
-      if (a.load > 0.0) return evaluate(*fleet_, alloc, input, weights);
-      continue;  // contributes exact 0.0 to both sums, like the reference
-    }
-    const std::size_t slot = level_offset_[g] + a.level;
-    const double rate = rate_table_[slot];
-    const double per = a.load / a.active;
-    if (per > rate * (1.0 + 1e-9)) {
-      return evaluate(*fleet_, alloc, input, weights);  // reference throws
-    }
-    // ServerGroup::power_kw / ServerSpec::power_kw, expression preserved.
-    it += a.active * (static_table_[g] + dyn_kw_table_[slot] * (per / rate));
-    // ServerGroup::delay_cost, expression preserved.
-    if (a.load > 0.0) {
-      delay_jobs += per >= rate ? std::numeric_limits<double>::infinity()
-                                : a.active * per / (rate - per);
-    }
-  }
-  SlotOutcome out;
-  const double slot_h = weights.slot_hours;
-  const double facility = weights.pue * it;
-  const double brown = std::max(0.0, facility - input.onsite_kw) * slot_h;
-  const double electricity = brown * input.price;
-  out.delay_jobs = delay_jobs;
-  const double delay = (weights.beta * delay_jobs) * slot_h;
-  const double total = electricity + delay;
-  out.it_power_kw = it;
-  out.facility_power_kw = facility;
-  out.brown_kwh = brown;
-  out.electricity_cost = electricity;
-  out.delay_cost = delay;
-  out.total_cost = total;
-  out.objective = weights.V * total + weights.q * brown +
-                  weights.power_price * facility * slot_h;
-  out.feasible = true;
-  return out;
-}
-
-SlotOutcome LoadLpContext::outcome_from_classes(const dc::Allocation& alloc,
-                                                const SlotInput& input,
-                                                const SlotWeights& weights) const {
-  // See the declaration comment.  Lanes cover every group in group order
-  // (inactive groups keep dead lanes), so the in-order sums below visit groups
-  // exactly as outcome_at does; dead and zero-load lanes contribute an exact
-  // +0.0, which is bitwise-neutral in these nonnegative accumulations.
   const std::size_t n = cls_group_.size();
-  if (n != alloc.size() || weights.gamma <= 0.0 || weights.gamma >= 1.0) {
-    return outcome_at(alloc, input, weights);
-  }
-  constexpr double kTol = 1e-6;
   const double* active = cls_active_.data();
   const double* load = cls_load_.data();
   const double* rate = cls_rate_.data();
@@ -675,7 +639,7 @@ SlotOutcome LoadLpContext::outcome_from_classes(const dc::Allocation& alloc,
       if (load[i] > 0.0) return evaluate(*fleet_, alloc, input, weights);
       continue;  // exact 0.0 contribution, like the reference
     }
-    // outcome_at's cap check, same expression shape: cls_cap_ is
+    // allocation_feasible's cap check, same expression shape: cls_cap_ is
     // gamma * rate, so (gamma * rate) * active reproduces its product order.
     if (load[i] > cap[i] * active[i] * (1.0 + 1e-6) + kTol) {
       return evaluate(*fleet_, alloc, input, weights);
@@ -684,7 +648,9 @@ SlotOutcome LoadLpContext::outcome_from_classes(const dc::Allocation& alloc,
     if (per > rate[i] * (1.0 + 1e-9)) {
       return evaluate(*fleet_, alloc, input, weights);  // reference throws
     }
+    // ServerGroup::power_kw / ServerSpec::power_kw, expression preserved.
     it += active[i] * (stat[i] + dyn[i] * (per / rate[i]));
+    // ServerGroup::delay_cost, expression preserved.
     if (load[i] > 0.0) {
       delay_jobs += per >= rate[i] ? std::numeric_limits<double>::infinity()
                                    : active[i] * per / (rate[i] - per);
@@ -710,40 +676,11 @@ SlotOutcome LoadLpContext::outcome_from_classes(const dc::Allocation& alloc,
   return out;
 }
 
-double LoadLpContext::facility_kw_at(const dc::Allocation& alloc,
-                                     const SlotWeights& weights) const {
-  // allocation_facility_kw = pue * it_power_kw; the summation below keeps
-  // the reference's group order and the power model's expression shape
-  // (active * (static + dyn * (per/rate))), so the product is bit-identical.
-  // Any check the power model would reject (or a tolerance sliver where it
-  // would throw) defers to the reference, as in outcome_at.
-  const std::size_t groups = alloc.size();
-  if (groups != fleet_->group_count()) {
-    return allocation_facility_kw(*fleet_, alloc, weights.pue);
-  }
-  double it = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto& a = alloc[g];
-    if (a.level >= level_offset_[g + 1] - level_offset_[g] ||
-        a.active < 0.0 || a.active > server_count_[g] * (1.0 + 1e-9) ||
-        a.load < 0.0) {
-      return allocation_facility_kw(*fleet_, alloc, weights.pue);
-    }
-    if (a.active == 0.0) {
-      if (a.load > 0.0) {
-        return allocation_facility_kw(*fleet_, alloc, weights.pue);
-      }
-      continue;  // exact 0.0 contribution, like the reference
-    }
-    const std::size_t slot = level_offset_[g] + a.level;
-    const double rate = rate_table_[slot];
-    const double per = a.load / a.active;
-    if (per > rate * (1.0 + 1e-9)) {
-      return allocation_facility_kw(*fleet_, alloc, weights.pue);
-    }
-    it += a.active * (static_table_[g] + dyn_kw_table_[slot] * (per / rate));
-  }
-  return weights.pue * it;
+double LoadLpContext::facility_kw(const SlotOutcome& out,
+                                  const dc::Allocation& alloc,
+                                  const SlotWeights& weights) const {
+  return out.feasible ? out.facility_power_kw
+                      : allocation_facility_kw(*fleet_, alloc, weights.pue);
 }
 
 LoadBalanceResult LoadLpContext::solve_cold(dc::Allocation& alloc,
@@ -754,21 +691,16 @@ LoadBalanceResult LoadLpContext::solve_cold(dc::Allocation& alloc,
   LoadBalanceResult result;
   const double mu_full = weights.brown_price(input.price);
 
-  double nu = solve_linear(alloc, input.lambda, mu_full, weights);
+  double nu = clear_lambda(alloc, input.lambda, mu_full, weights, 0.0);
   if (nu < 0.0) {
-    result.outcome = outcome_at(alloc, input, weights);
+    result.outcome = evaluate(*fleet_, alloc, input, weights);
     result.outcome.infeasible_reason = "active capacity below lambda";
     return result;
   }
-  // Fused regime check: outcome_at's facility_power_kw carries the exact
-  // bits facility_kw_at would produce (same expressions, same order), so one
-  // pass serves both the [p - r]^+ branch decision and the returned outcome.
-  // A fallback (reference-evaluated, possibly infeasible) outcome recomputes
-  // the power the explicit way, preserving the reference decision sequence.
-  SlotOutcome out_a = outcome_at(alloc, input, weights);
-  const double power_a =
-      out_a.feasible ? out_a.facility_power_kw : facility_kw_at(alloc, weights);
-  if (power_a >= input.onsite_kw * (1.0 - 1e-9)) {
+  // One evaluation serves both the [p - r]^+ branch decision and the
+  // returned outcome.
+  SlotOutcome out_a = lane_outcome(alloc, input, weights);
+  if (facility_kw(out_a, alloc, weights) >= input.onsite_kw * (1.0 - 1e-9)) {
     result.feasible = true;
     result.regime = PowerRegime::kGridDraw;
     result.nu = nu;
@@ -778,11 +710,9 @@ LoadBalanceResult LoadLpContext::solve_cold(dc::Allocation& alloc,
   }
 
   const double mu_floor = weights.power_price;
-  nu = solve_linear(alloc, input.lambda, mu_floor, weights);
-  SlotOutcome out_b = outcome_at(alloc, input, weights);
-  const double power_b =
-      out_b.feasible ? out_b.facility_power_kw : facility_kw_at(alloc, weights);
-  if (power_b <= input.onsite_kw * (1.0 + 1e-9)) {
+  nu = clear_lambda(alloc, input.lambda, mu_floor, weights, 0.0);
+  SlotOutcome out_b = lane_outcome(alloc, input, weights);
+  if (facility_kw(out_b, alloc, weights) <= input.onsite_kw * (1.0 + 1e-9)) {
     result.feasible = true;
     result.regime = PowerRegime::kRenewable;
     result.nu = nu;
@@ -792,20 +722,21 @@ LoadBalanceResult LoadLpContext::solve_cold(dc::Allocation& alloc,
   }
 
   auto power_gap = [&](double mu) {
-    solve_linear(alloc, input.lambda, mu, weights);
-    return facility_kw_at(alloc, weights) - input.onsite_kw;
+    clear_lambda(alloc, input.lambda, mu, weights, 0.0);
+    return facility_kw(lane_outcome(alloc, input, weights), alloc, weights) -
+           input.onsite_kw;
   };
   util::BisectionOptions options;
   options.x_tol = std::max(1e-12, mu_full * 1e-10);
   options.f_tol = 1e-6 * std::max(1.0, input.onsite_kw);
   options.max_iterations = 100;
   const auto boundary = util::bisect(power_gap, mu_floor, mu_full, options);
-  nu = solve_linear(alloc, input.lambda, boundary.x, weights);
+  nu = clear_lambda(alloc, input.lambda, boundary.x, weights, 0.0);
   result.feasible = true;
   result.regime = PowerRegime::kBoundary;
   result.nu = nu;
   result.effective_price = boundary.x;
-  result.outcome = outcome_at(alloc, input, weights);
+  result.outcome = lane_outcome(alloc, input, weights);
   return result;
 }
 
@@ -820,49 +751,35 @@ LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
   LoadBalanceResult result;
 
   if (cached_regime_ == PowerRegime::kGridDraw) {
-    for (auto& a : alloc) a.load = 0.0;
-    if (input.lambda > kTiny) {
-      build_classes(alloc, weights, true);
-      const double nu = solve_linear_built(input.lambda, mu_full, weights,
-                                           cached_nu_);
-      if (nu < 0.0) {
-        result.outcome = outcome_at(alloc, input, weights);
-        result.outcome.infeasible_reason = "active capacity below lambda";
-        return result;
-      }
-      scatter_loads(alloc);
-      // Fused check-and-outcome, as in the cold sequence.
-      SlotOutcome out_a = outcome_from_classes(alloc, input, weights);
-      const double power_a = out_a.feasible ? out_a.facility_power_kw
-                                            : facility_kw_at(alloc, weights);
-      if (power_a >= input.onsite_kw * (1.0 - 1e-9)) {
-        result.feasible = true;
-        result.regime = PowerRegime::kGridDraw;
-        result.nu = nu;
-        result.effective_price = mu_full;
-        result.outcome = std::move(out_a);
-        return result;
-      }
-      ++stats_.regime_flips;
-      return solve_cold(alloc, input, weights);
+    if (input.lambda <= kTiny) return solve_cold(alloc, input, weights);
+    const double nu =
+        clear_lambda(alloc, input.lambda, mu_full, weights, cached_nu_);
+    if (nu < 0.0) {
+      result.outcome = evaluate(*fleet_, alloc, input, weights);
+      result.outcome.infeasible_reason = "active capacity below lambda";
+      return result;
     }
+    SlotOutcome out_a = lane_outcome(alloc, input, weights);
+    if (facility_kw(out_a, alloc, weights) >= input.onsite_kw * (1.0 - 1e-9)) {
+      result.feasible = true;
+      result.regime = PowerRegime::kGridDraw;
+      result.nu = nu;
+      result.effective_price = mu_full;
+      result.outcome = std::move(out_a);
+      return result;
+    }
+    ++stats_.regime_flips;
     return solve_cold(alloc, input, weights);
   }
 
   if (cached_regime_ == PowerRegime::kRenewable) {
     const double mu_floor = weights.power_price;
-    double nu = 0.0;
-    for (auto& a : alloc) a.load = 0.0;
-    if (input.lambda > kTiny) {
-      build_classes(alloc, weights, true);
-      nu = solve_linear_built(input.lambda, mu_floor, weights, cached_nu_);
-      if (nu >= 0.0) scatter_loads(alloc);
-    }
+    const double nu =
+        clear_lambda(alloc, input.lambda, mu_floor, weights, cached_nu_);
     if (nu >= 0.0) {
-      SlotOutcome out_b = outcome_from_classes(alloc, input, weights);
-      const double power_b = out_b.feasible ? out_b.facility_power_kw
-                                            : facility_kw_at(alloc, weights);
-      if (power_b <= input.onsite_kw * (1.0 + 1e-9)) {
+      SlotOutcome out_b = lane_outcome(alloc, input, weights);
+      if (facility_kw(out_b, alloc, weights) <=
+          input.onsite_kw * (1.0 + 1e-9)) {
         result.feasible = true;
         result.regime = PowerRegime::kRenewable;
         result.nu = nu;
@@ -886,27 +803,23 @@ LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
   // continuous, so consecutive outer iterates share tight brackets.
   double last_nu = cached_nu_;
   auto warm_linear = [&](double mu) {
-    for (auto& a : alloc) a.load = 0.0;
-    if (input.lambda <= kTiny) return 0.0;
-    build_classes(alloc, weights, true);
     const double nu =
-        solve_linear_built(input.lambda, mu, weights, last_nu);
-    if (nu >= 0.0) {
-      last_nu = nu;
-      scatter_loads(alloc);
-    }
+        clear_lambda(alloc, input.lambda, mu, weights, last_nu);
+    if (nu >= 0.0) last_nu = nu;
     return nu;
+  };
+  auto power = [&] {
+    return facility_kw(lane_outcome(alloc, input, weights), alloc, weights);
   };
   auto power_gap = [&](double mu) {
     warm_linear(mu);
-    return facility_kw_at(alloc, weights) - input.onsite_kw;
+    return power() - input.onsite_kw;
   };
   if (!(wlo < whi) || warm_linear(mu_full) < 0.0) {
     // Degenerate window or infeasible capacity: reference order handles it.
     return solve_cold(alloc, input, weights);
   }
-  if (facility_kw_at(alloc, weights) >=
-      input.onsite_kw * (1.0 - 1e-9)) {
+  if (power() >= input.onsite_kw * (1.0 - 1e-9)) {
     // The full-price solution now draws grid power: regime flipped to A.
     ++stats_.regime_flips;
     return solve_cold(alloc, input, weights);
@@ -926,7 +839,7 @@ LoadBalanceResult LoadLpContext::solve_warm(dc::Allocation& alloc,
   result.regime = PowerRegime::kBoundary;
   result.nu = nu;
   result.effective_price = boundary.x;
-  result.outcome = outcome_from_classes(alloc, input, weights);
+  result.outcome = lane_outcome(alloc, input, weights);
   return result;
 }
 
@@ -1036,6 +949,7 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
     memo_clear();
   }
 
+  check_size(alloc, *fleet_);  // before the memo probe reads any key
   // Memo first: a hit returns the stored (bit-exact) result without even
   // rebuilding the class arrays.
   const std::uint64_t hash = fnv1a_alloc(alloc);
@@ -1053,10 +967,9 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
   }
 
   // One class build covers the whole solve: the allocation's levels/active
-  // counts are fixed until we return, so the interior build_classes calls
-  // (including the boundary regime's per-mu re-clears) short-circuit.
+  // counts are fixed until we return, so every interior clearing (including
+  // the boundary regime's per-mu re-clears) runs on these lanes.
   build_classes(alloc, weights, true);
-  classes_ready_ = true;
 
   // Capacity pre-check with the exact reference predicate: capacity-short
   // candidates exit through the cold sequence's own (identical) check
@@ -1069,23 +982,9 @@ LoadBalanceResult LoadLpContext::solve(dc::Allocation& alloc,
   const LoadBalanceResult result = (warm && !capacity_short)
                                        ? solve_warm(alloc, input, weights)
                                        : solve_cold(alloc, input, weights);
-  classes_ready_ = false;
   remember(alloc, input, weights, result);
   memo_store(hash, result, alloc);
   return result;
-}
-
-// OBS-EXEMPT(pure delegation; every inner solve opens its own span)
-// Each solve() below emits load_lp_warm/load_lp_cold, which is the
-// granularity the span profile pins.
-void LoadLpContext::solve_batch(std::vector<dc::Allocation>& candidates,
-                                const SlotInput& input,
-                                const SlotWeights& weights,
-                                std::vector<LoadBalanceResult>& results) {
-  results.resize(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    results[i] = solve(candidates[i], input, weights);
-  }
 }
 
 }  // namespace coca::opt

@@ -1,5 +1,5 @@
 #pragma once
-// Incremental, batched load-LP engine for the per-slot sweeps.
+// Incremental load-LP engine for the per-slot sweeps.
 //
 // `balance_loads` (opt/load_balancer.hpp) is the *reference* dual
 // water-filling solver: it rebuilds the active server classes, re-derives the
@@ -76,21 +76,18 @@ class LoadLpContext {
   /// Drop-in for `balance_loads`: reads levels/active counts of `alloc`,
   /// overwrites loads, handles the renewable kink.  Cold solves are
   /// bit-identical to the reference, warm ones agree to the documented
-  /// epsilon (see file comment).
+  /// epsilon (see file comment).  Throws std::out_of_range when `alloc` does
+  /// not have one entry per fleet group or an active group's level is out of
+  /// range; other out-of-spec allocations get the reference's outcome (or
+  /// its exception).
   LoadBalanceResult solve(dc::Allocation& alloc, const SlotInput& input,
                           const SlotWeights& weights);
 
   /// Drop-in for `balance_loads_linear` (fixed effective price mu, no kink).
   /// Always canonical (bit-exact); the warm clearing only affects solve().
+  /// Throws std::out_of_range like solve().
   double solve_linear(dc::Allocation& alloc, double lambda, double mu,
                       const SlotWeights& weights);
-
-  /// Batch entry point: evaluate independent candidates against the shared
-  /// cache, results identical to calling solve() on each in order.  Used by
-  /// the ladder polish grid, where candidates are known upfront.
-  void solve_batch(std::vector<dc::Allocation>& candidates,
-                   const SlotInput& input, const SlotWeights& weights,
-                   std::vector<LoadBalanceResult>& results);
 
   /// Drop the cached dual point and memo (e.g. when the caller mutates the
   /// fleet).  Per-(group, level) tables are retained.
@@ -105,7 +102,9 @@ class LoadLpContext {
   /// common single-group flip), the changed groups are patched in place
   /// instead of rebuilding — the patched values come from the same table
   /// expressions, so the arrays are bit-identical to a fresh build.
-  /// `dead_lanes` picks the layout (see `dead_lanes_`).
+  /// `dead_lanes` picks the layout (see `dead_lanes_`).  Both paths check
+  /// each changed group's level before reading a table and keep the
+  /// off-spec count current.
   void build_classes(const dc::Allocation& alloc, const SlotWeights& weights,
                      bool dead_lanes);
   /// Patch cls_* in place for groups whose (level, active) changed since the
@@ -114,23 +113,31 @@ class LoadLpContext {
   /// layout only — a group joins or leaves the active set.
   bool try_patch_classes(const dc::Allocation& alloc, bool dead_lanes);
   void refresh_tables(const SlotWeights& weights);
-  /// Table-driven replica of opt::evaluate(): identical expressions, check
-  /// order and group-order summation (bit-for-bit), with the spec lookups
-  /// served from the flat tables and the string/exception machinery bypassed
-  /// on the happy path.  Any check failure defers to the reference so the
-  /// diagnostic text (or throw) is exactly the reference's.
-  SlotOutcome outcome_at(const dc::Allocation& alloc, const SlotInput& input,
-                         const SlotWeights& weights) const;
-  /// outcome_at specialised for the warm path's own solved classes: streams
-  /// the SoA lanes (all groups, in group order; dead lanes add exact +0.0)
-  /// instead of re-walking the allocation, keeping the same expressions and
-  /// summation order bit-for-bit.  The solver's invariants make most of
-  /// outcome_at's guards statically true; the remaining cap / served checks
-  /// are evaluated with the reference's exact predicates and defer to
-  /// evaluate() on failure, so the fallback decision is also bit-exact.
-  SlotOutcome outcome_from_classes(const dc::Allocation& alloc,
-                                   const SlotInput& input,
-                                   const SlotWeights& weights) const;
+  /// Throws std::out_of_range when an active group's level is out of range,
+  /// the exception the reference's spec lookup throws.
+  void check_level(std::size_t g, const dc::GroupAllocation& a) const;
+  /// True for a group the lanes cannot score the way evaluate() does: a
+  /// negative or (0, kTiny] active count, one above the server count, or an
+  /// out-of-range level on an inactive group.
+  bool off_spec(std::size_t g, const dc::GroupAllocation& a) const;
+  /// The single evaluator: opt::evaluate() over the solved lanes of solve()'s
+  /// dead-lane layout (every group, in group order; dead lanes add an exact
+  /// +0.0), with identical expressions, check order and summation order, so
+  /// its outcome is bit-for-bit the reference's.  It defers to evaluate()
+  /// while any group is off-spec, when lambda <= kTiny (the lanes were not
+  /// cleared) and on any failed check, so the diagnostic text (or throw) is
+  /// exactly the reference's.
+  SlotOutcome lane_outcome(const dc::Allocation& alloc, const SlotInput& input,
+                           const SlotWeights& weights) const;
+  /// Facility power for the regime checks and the boundary bisections: the
+  /// evaluated outcome's own bits when feasible, the reference power model
+  /// (`allocation_facility_kw`) otherwise.
+  double facility_kw(const SlotOutcome& out, const dc::Allocation& alloc,
+                     const SlotWeights& weights) const;
+  /// Zero the loads and clear lambda over the built classes at price mu,
+  /// scattering the loads back on success (see solve_linear_built).
+  double clear_lambda(dc::Allocation& alloc, double lambda, double mu,
+                      const SlotWeights& weights, double warm_nu);
   /// Linear solve over the already-built class arrays.  `warm_nu` = 0 runs
   /// the canonical bisection; `warm_nu` > 0 runs the bracket-safeguarded
   /// Newton clearing from it, with the canonical tolerances.
@@ -167,11 +174,6 @@ class LoadLpContext {
   /// Inserts the solved configuration; materialises the key only here.
   void memo_store(std::uint64_t hash, const LoadBalanceResult& result,
                   const dc::Allocation& alloc);
-  /// Table-driven replica of `allocation_facility_kw` (pue * it power, same
-  /// expressions and group order bit-for-bit); defers to the reference on any
-  /// power-model check failure, mirroring outcome_at's fallback design.
-  double facility_kw_at(const dc::Allocation& alloc,
-                        const SlotWeights& weights) const;
 
   const dc::Fleet* fleet_;
   LoadLpStats stats_;
@@ -194,10 +196,8 @@ class LoadLpContext {
 
   // SoA scratch for the active classes of the current solve.  While a
   // solve() is in flight the allocation's levels/active counts are fixed, so
-  // the class arrays are built once and `classes_ready_` short-circuits the
-  // interior rebuilds (the boundary regime's outer bisection re-clears the
-  // same classes at every mu iterate).
-  bool classes_ready_ = false;
+  // the class arrays are built once per solve() (the boundary regime's outer
+  // bisection re-clears the same classes at every mu iterate).
   // Layout of the class arrays, chosen by the entry point that built them.
   // solve() keeps a +0.0-neutral dead lane per inactive group, so the GSD
   // sweep's membership flips stay patches (and keep the warm seed), and it
@@ -214,6 +214,10 @@ class LoadLpContext {
   std::vector<std::int32_t> cls_index_;
   std::vector<std::int32_t> dirty_;
   bool dirty_all_ = true;
+  // Per-group off_spec() flags of the arrays' allocation, and their count;
+  // while the count is non-zero lane_outcome() defers to evaluate().
+  std::vector<bool> off_spec_;
+  int off_spec_groups_ = 0;
   double inv_mu_ = std::numeric_limits<double>::quiet_NaN();
   double inv_vbeta_ = std::numeric_limits<double>::quiet_NaN();
   // Analytic warm seed: the gap residual and gradient

@@ -2,8 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace coca::opt {
+
+void validate(const SlotInput& input) {
+  if (!std::isfinite(input.lambda) || input.lambda < 0.0) {
+    throw std::invalid_argument("SlotInput: lambda must be finite and >= 0");
+  }
+  if (!std::isfinite(input.price)) {
+    throw std::invalid_argument("SlotInput: price must be finite");
+  }
+  if (!std::isfinite(input.onsite_kw) || input.onsite_kw < 0.0) {
+    throw std::invalid_argument("SlotInput: onsite_kw must be finite and >= 0");
+  }
+}
 
 SlotOutcome evaluate(const dc::Fleet& fleet, const dc::Allocation& alloc,
                      const SlotInput& input, const SlotWeights& weights) {

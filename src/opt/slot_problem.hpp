@@ -45,6 +45,11 @@ struct SlotInput {
   }
 };
 
+/// Reject a slot input no solver can score: lambda must be finite and
+/// nonnegative, the price finite (it may be negative) and the on-site supply
+/// finite and nonnegative.  Throws std::invalid_argument naming the field.
+void validate(const SlotInput& input);
+
 /// Controller weights and model parameters for P3.
 struct SlotWeights {
   double V = 1.0;          ///< cost-carbon parameter (Sec. 4.1)

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "opt/exhaustive_solver.hpp"
 #include "util/rng.hpp"
@@ -320,6 +321,24 @@ TEST(Gsd, RenewableSurplusSlotHasZeroBrownEnergy) {
   EXPECT_DOUBLE_EQ(result.best.outcome.electricity_cost, 0.0);
   EXPECT_GE(result.best.outcome.objective, 0.0);
   EXPECT_TRUE(std::isfinite(result.best.outcome.objective));
+}
+
+TEST(Gsd, RejectsNonFiniteOrNegativeSlotInput) {
+  const auto fleet = small_fleet();
+  GsdConfig config;
+  config.iterations = 10;
+  const GsdSolver solver(config);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const SlotInput bad[] = {{5.0, nan, 0.06},
+                           {5.0, 0.0, nan},
+                           {-5.0, 0.0, 0.06},
+                           {5.0, -100.0, 0.06}};
+  for (const auto& input : bad) {
+    EXPECT_THROW(solver.solve(fleet, input, test_weights()),
+                 std::invalid_argument)
+        << "lambda " << input.lambda << " onsite " << input.onsite_kw
+        << " price " << input.price;
+  }
 }
 
 TEST(Gsd, HandlesDeficitPressure) {

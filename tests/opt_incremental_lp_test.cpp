@@ -24,6 +24,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -462,39 +463,6 @@ TEST(IncrementalLp, StatsClassifyWarmAndColdSolves) {
   EXPECT_EQ(ctx.stats().warm, 1);
 }
 
-TEST(IncrementalLp, BatchMatchesSequentialSolves) {
-  const auto fleet = two_group_fleet();
-  SlotWeights w;
-  w.V = 1.0;
-  w.beta = 0.01;
-  w.gamma = 0.9;
-  const SlotInput input{25.0, 0.0, 0.08};
-
-  std::vector<dc::Allocation> candidates;
-  for (double active : {5.0, 3.0, 2.0, 5.0}) {
-    dc::Allocation alloc(fleet.group_count());
-    for (auto& a : alloc) {
-      a.level = 3;
-      a.active = active;
-    }
-    candidates.push_back(alloc);
-  }
-
-  LoadLpContext batch_ctx(fleet);
-  std::vector<dc::Allocation> batch = candidates;
-  std::vector<LoadBalanceResult> results;
-  batch_ctx.solve_batch(batch, input, w, results);
-  ASSERT_EQ(results.size(), candidates.size());
-
-  LoadLpContext seq_ctx(fleet);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    dc::Allocation alloc = candidates[i];
-    const auto ref = seq_ctx.solve(alloc, input, w);
-    expect_bit_identical(ref, results[i], alloc, batch[i],
-                         "candidate " + std::to_string(i));
-  }
-}
-
 TEST(IncrementalLp, FreshContextReproducesWarmContextBitForBit) {
   // Cache state from an earlier slot must be invisible: a context that has
   // seen unrelated solves at other inputs answers a new slot's first solve
@@ -633,6 +601,109 @@ TEST(IncrementalLp, WarmStartRegimeFlipFallsBackToReferenceOrder) {
   EXPECT_EQ(checker.regimes.size(), 3u);
   EXPECT_GE(mid_flips, 1);
   EXPECT_GT(checker.warm, 0);
+}
+
+// --- out-of-spec allocations throw like the reference -----------------------
+
+dc::Fleet six_server_fleet() {
+  const auto reference = dc::ServerSpec::opteron2380();
+  std::vector<dc::ServerGroup> groups;
+  groups.emplace_back(reference, 6);
+  groups.emplace_back(reference.scaled("old", 0.8, 1.15), 6);
+  return dc::Fleet(std::move(groups));
+}
+
+dc::Allocation top_speed(const dc::Fleet& fleet, double active) {
+  dc::Allocation alloc(fleet.group_count());
+  for (auto& a : alloc) {
+    a.level = 3;
+    a.active = active;
+  }
+  return alloc;
+}
+
+SlotWeights out_of_spec_weights() {
+  SlotWeights w;
+  w.V = 1.0;
+  w.beta = 0.01;
+  w.gamma = 0.9;
+  return w;
+}
+
+/// Solves `bad` cold (a fresh context) and warm (after a valid solve of the
+/// same slot) and expects both to throw `Error`, as balance_loads does.  The
+/// context that threw must then still answer a new slot like the reference.
+template <typename Error>
+void expect_solve_throws_like_reference(const dc::Fleet& fleet,
+                                        const dc::Allocation& bad) {
+  const SlotWeights w = out_of_spec_weights();
+  const SlotInput input{30.0, 0.0, 0.06};
+  auto ref = bad;
+  EXPECT_THROW(balance_loads(fleet, ref, input, w), Error);
+
+  LoadLpContext cold(fleet);
+  auto cold_alloc = bad;
+  EXPECT_THROW(cold.solve(cold_alloc, input, w), Error);
+  EXPECT_EQ(cold.stats().cold, 1);
+
+  LoadLpContext warm(fleet);
+  auto valid = top_speed(fleet, 5.0);
+  warm.solve(valid, input, w);
+  auto warm_alloc = bad;
+  EXPECT_THROW(warm.solve(warm_alloc, input, w), Error);
+  EXPECT_EQ(warm.stats().warm, 1);
+
+  const SlotInput next{25.0, 0.0, 0.07};
+  auto ref_next = top_speed(fleet, 4.0);
+  auto inc_next = ref_next;
+  const auto r = balance_loads(fleet, ref_next, next, w);
+  const auto i = warm.solve(inc_next, next, w);
+  expect_bit_identical(r, i, ref_next, inc_next, "after the throw");
+}
+
+/// solve_linear on `bad`, on a fresh and on a used context, throws `Error`
+/// like balance_loads_linear.
+template <typename Error>
+void expect_linear_throws_like_reference(const dc::Fleet& fleet,
+                                         const dc::Allocation& bad) {
+  const SlotWeights w = out_of_spec_weights();
+  const double mu = w.brown_price(0.06);
+  auto ref = bad;
+  EXPECT_THROW(balance_loads_linear(fleet, ref, 30.0, mu, w), Error);
+  LoadLpContext fresh(fleet);
+  auto a = bad;
+  EXPECT_THROW(fresh.solve_linear(a, 30.0, mu, w), Error);
+  LoadLpContext used(fleet);
+  auto valid = top_speed(fleet, 5.0);
+  used.solve_linear(valid, 30.0, mu, w);
+  auto b = bad;
+  EXPECT_THROW(used.solve_linear(b, 30.0, mu, w), Error);
+}
+
+TEST(IncrementalLp, TooManyActiveServersThrowsLikeReference) {
+  const auto fleet = six_server_fleet();
+  auto bad = top_speed(fleet, 5.0);
+  bad[1].active = 9.0;  // the group has 6 servers
+  expect_solve_throws_like_reference<std::domain_error>(fleet, bad);
+}
+
+TEST(IncrementalLp, OutOfRangeLevelThrowsLikeReference) {
+  const auto fleet = six_server_fleet();
+  for (std::size_t g : {std::size_t{0}, std::size_t{1}}) {  // first and last
+    SCOPED_TRACE("group " + std::to_string(g));
+    auto bad = top_speed(fleet, 5.0);
+    bad[g].level = 7;  // the spec has 4 levels
+    expect_solve_throws_like_reference<std::out_of_range>(fleet, bad);
+    expect_linear_throws_like_reference<std::out_of_range>(fleet, bad);
+  }
+}
+
+TEST(IncrementalLp, OversizedAllocationThrowsLikeReference) {
+  const auto fleet = six_server_fleet();
+  auto bad = top_speed(fleet, 5.0);
+  bad.push_back({3, 2.0, 0.0});  // a third group on a two-group fleet
+  expect_solve_throws_like_reference<std::out_of_range>(fleet, bad);
+  expect_linear_throws_like_reference<std::out_of_range>(fleet, bad);
 }
 
 }  // namespace

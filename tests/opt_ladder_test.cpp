@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "opt/exhaustive_solver.hpp"
 
@@ -127,6 +129,25 @@ TEST(LadderSolver, IntegerCountsAreIntegral) {
   for (const auto& a : sol.alloc) {
     EXPECT_DOUBLE_EQ(a.active, std::round(a.active));
   }
+}
+
+TEST(LadderSolver, RejectsNonFiniteOrNegativeSlotInput) {
+  const auto fleet = dc::make_homogeneous_fleet(4, 100);
+  const auto w = weights_with(1.0, 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const SlotInput bad[] = {
+      {500.0, nan, 0.06},    {500.0, 0.0, nan},   {-5.0, 0.0, 0.06},
+      {500.0, -100.0, 0.06}, {nan, 0.0, 0.06},    {inf, 0.0, 0.06},
+      {500.0, inf, 0.06},    {500.0, 0.0, -inf},
+  };
+  for (const auto& input : bad) {
+    EXPECT_THROW(LadderSolver().solve(fleet, input, w), std::invalid_argument)
+        << "lambda " << input.lambda << " onsite " << input.onsite_kw
+        << " price " << input.price;
+  }
+  // A negative price is a real market outcome, not bad input.
+  EXPECT_TRUE(LadderSolver().solve(fleet, {500.0, 0.0, -0.02}, w).feasible);
 }
 
 TEST(LadderSolver, PreferredGenerationsActivatedFirst) {

@@ -44,7 +44,7 @@ Checks (run `--list-checks` for the one-liners):
                    lock() on a tracked lock variable toggles coverage.
 
   obs-hygiene      (a) Public solver/controller entry points — definitions
-                   of solve/solve_chain/solve_batch/plan/observe/
+                   of solve/solve_chain/plan/observe/replay/
                    run_simulation/on_slot under src/opt, src/core, src/sim,
                    src/des, src/obs (the health plane's per-slot hooks) —
                    must open an obs::ScopedSpan or carry an
@@ -59,6 +59,13 @@ Checks (run `--list-checks` for the one-liners):
                    seeds) and `<iostream>` never appears in src/ (iostream
                    in library code means stray output and static-init-order
                    coupling; printing belongs in bench/, tools and tests).
+
+  unreached-module Every header under src/ is included by at least one file
+                   under src/, bench/, examples/ or perfbench/src/ other
+                   than its own .cpp.  Tests do not count: a module only its
+                   tests reach is code no shipped path runs.  Includers are
+                   read from the whole tree even when explicit PATHs narrow
+                   the scan; findings are reported for scanned headers.
 
 Waiver grammar (every waiver carries a justification, enforced non-empty):
 
@@ -85,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import posixpath
 import re
 import sys
 import tempfile
@@ -726,7 +734,7 @@ def check_lock_discipline(files: list[SourceFile]) -> list[Finding]:
 # ---------------------------------------------------------------------------
 # Check: obs-hygiene
 
-ENTRY_POINT_NAMES = {"solve", "solve_chain", "solve_batch", "plan", "observe",
+ENTRY_POINT_NAMES = {"solve", "solve_chain", "plan", "observe",
                      "run_simulation", "replay", "on_slot"}
 ENTRY_POINT_DIRS = ("src/opt/", "src/core/", "src/sim/", "src/des/",
                     "src/obs/")
@@ -905,6 +913,48 @@ def _has_header_guard(sf: SourceFile) -> Finding | None:
 
 
 # ---------------------------------------------------------------------------
+# Check: unreached-module
+
+REACHING_DIRS = ("src", "bench", "examples", "perfbench/src")
+
+
+def check_unreached_modules(root: Path, files: list[SourceFile]) -> list[Finding]:
+    loaded = {sf.rel: sf for sf in files}
+    reached: set[str] = set()
+    for top in REACHING_DIRS:
+        base = root / top
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in EXTENSIONS:
+                continue
+            rel = path.relative_to(root).as_posix()
+            sf = loaded.get(rel) or SourceFile.load(path, root)
+            own_header = posixpath.splitext(rel)[0]
+            for inc in sf.local_includes:
+                for cand in (f"src/{inc}", posixpath.join(posixpath.dirname(rel), inc)):
+                    cand = posixpath.normpath(cand)
+                    if (root / cand).is_file():
+                        if posixpath.splitext(cand)[0] != own_header:
+                            reached.add(cand)
+                        break
+    return [
+        Finding(
+            "unreached-module",
+            sf.rel,
+            1,
+            "no file under src/, bench/, examples/ or perfbench/src/ "
+            "includes this header except its own .cpp — delete the module "
+            "or wire it into a shipped path (tests do not count)",
+        )
+        for sf in files
+        if sf.rel.startswith("src/")
+        and sf.path.suffix in HEADER_EXTENSIONS
+        and sf.rel not in reached
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Driver
 
 CHECKS = {
@@ -914,6 +964,7 @@ CHECKS = {
     "obs-hygiene": "solver/controller/health-plane entry points open spans; <chrono> confined to obs/clock.hpp",
     "fault-hooks": "fault::Injector hook sites open spans or carry // OBS-EXEMPT waivers",
     "header-hygiene": "#pragma once everywhere; <random>/<iostream> confined to their boundaries",
+    "unreached-module": "every src/ header is included outside its own .cpp by src/, bench/, examples/ or perfbench/src/",
 }
 
 
@@ -956,6 +1007,8 @@ def run_lint(
         findings += check_fault_hooks(files)
     if "header-hygiene" in enabled:
         findings += check_header_hygiene(files)
+    if "unreached-module" in enabled:
+        findings += check_unreached_modules(root.resolve(), files)
     findings.sort(key=lambda f: (f.path, f.line, f.check))
     return findings, len(files)
 
@@ -1273,12 +1326,38 @@ _FIXTURES: list[tuple[str, dict[str, str], str | None, list[str]]] = [
         None,
         [],
     ),
+    (
+        "unreached-module-test-only",
+        {
+            "src/opt/m.hpp": "#pragma once\nint f();\n",
+            "src/opt/m.cpp": '#include "opt/m.hpp"\nint f() { return 1; }\n',
+            "tests/m_test.cpp": '#include "opt/m.hpp"\nint g() { return f(); }\n',
+        },
+        None,
+        ["unreached-module"],
+    ),
+    (
+        "unreached-module-shipped",
+        {
+            "src/opt/m.hpp": "#pragma once\nint f();\n",
+            "src/opt/m.cpp": '#include "opt/m.hpp"\nint f() { return 1; }\n',
+            "bench/b.cpp": '#include "opt/m.hpp"\nint main() { return f(); }\n',
+        },
+        None,
+        [],
+    ),
 ]
 
 
 def self_test() -> int:
     failures = 0
     for name, tree, allowlist, expected in _FIXTURES:
+        # The other checks' fixtures are deliberately partial trees (a header
+        # and its .cpp, nothing that ships them), so the tree-level
+        # unreached-module check runs on its own fixtures only.
+        checks = set(CHECKS)
+        if not name.startswith("unreached-module"):
+            checks.discard("unreached-module")
         with tempfile.TemporaryDirectory(prefix="coca_lint_") as tmp:
             root = Path(tmp)
             for rel, content in tree.items():
@@ -1290,7 +1369,8 @@ def self_test() -> int:
                 allowlist_path = root / "tools" / "coca_lint_allowlist.txt"
                 allowlist_path.parent.mkdir(parents=True, exist_ok=True)
                 allowlist_path.write_text(allowlist, encoding="utf-8")
-            findings, _ = run_lint(root, allowlist_path=allowlist_path)
+            findings, _ = run_lint(root, allowlist_path=allowlist_path,
+                                   checks=checks)
             got = sorted(f.check for f in findings)
             if got == sorted(expected):
                 print(f"  PASS  {name}")
