@@ -1,5 +1,5 @@
 #pragma once
-// coca-ckpt-v1: controller crash/restart serialization.
+// coca-ckpt-v2: controller crash/restart serialization.
 //
 // A checkpoint is a single-line JSON document rendered with obs/json's
 // std::to_chars number formatting.  Shortest-round-trip rendering means every
@@ -7,15 +7,18 @@
 // restore-then-run bit-identical to an uninterrupted run (pinned by
 // tests/fault_checkpoint_test.cpp).  Envelope:
 //
-//   {"schema":"coca-ckpt-v1","controller":"<name>","slot":N, ...state...}
+//   {"schema":"coca-ckpt-v2","controller":"<name>","slot":N, ...state...}
 //
 // Controller state fields:
-//   COCA               "queue":{"q":<double>,"history":[<double>...]}
+//   COCA               "queue":{"q":<double>}
 //   COCA+dynamic-RECs  the queue plus "ledger":{"purchased":..,"retired":..},
-//                      "spend":<double>,"purchases":[<double>...]
+//                      "spend":<double>
 //
-// The V schedule carries no state on purpose: V_r is a pure function of the
-// slot index and the (immutable) controller config, so a restored controller
+// A blob holds only the state the next plan() reads, so its size does not
+// grow with the horizon (the per-slot queue series lives in sim::Metrics).
+// A blob of any other schema version is rejected, never half-read.  The V
+// schedule carries no state on purpose: V_r is a pure function of the slot
+// index and the (immutable) controller config, so a restored controller
 // re-derives it from t alone.
 
 #include <cstddef>
@@ -26,9 +29,9 @@
 
 namespace coca::core {
 
-inline constexpr const char* kCheckpointSchema = "coca-ckpt-v1";
+inline constexpr const char* kCheckpointSchema = "coca-ckpt-v2";
 
-/// Render the deficit-queue state as a JSON object: {"q":..,"history":[..]}.
+/// Render the deficit-queue state as a JSON object: {"q":..}.
 std::string queue_to_json(const CarbonDeficitQueue& queue);
 
 /// Restore deficit-queue state from a parsed `queue` fragment; throws

@@ -31,11 +31,10 @@ units::KiloWattHours CarbonDeficitQueue::update(
   const units::KiloWattHours next = units::positive_part(
       deficit() + brown - alpha * (offsite + rec_per_slot));
   q_ = next.value();  // UNITS: q(t) is the raw Lyapunov shadow price
-  history_.push_back(q_);
   return next;
 }
 
-void CarbonDeficitQueue::restore(double q, std::vector<double> history) {
+void CarbonDeficitQueue::restore(double q) {
   if (!std::isfinite(q)) {
     throw std::invalid_argument(
         "CarbonDeficitQueue::restore: non-finite length");
@@ -43,18 +42,7 @@ void CarbonDeficitQueue::restore(double q, std::vector<double> history) {
   if (q < 0.0) {
     throw std::invalid_argument("CarbonDeficitQueue::restore: negative length");
   }
-  for (const double h : history) {
-    if (!std::isfinite(h)) {
-      throw std::invalid_argument(
-          "CarbonDeficitQueue::restore: non-finite history entry");
-    }
-    if (h < 0.0) {
-      throw std::invalid_argument(
-          "CarbonDeficitQueue::restore: negative history entry");
-    }
-  }
   q_ = q;
-  history_ = std::move(history);
 }
 
 }  // namespace coca::core

@@ -19,9 +19,6 @@
 // electricity").  Algorithm 1 resets the queue at the start of every frame
 // so the cost-carbon parameter V can be re-tuned.
 
-#include <cstddef>
-#include <vector>
-
 #include "util/units.hpp"
 
 namespace coca::core {
@@ -57,18 +54,13 @@ class CarbonDeficitQueue {
   /// Frame reset (Algorithm 1 lines 2-4).
   void reset() { q_ = 0.0; }
 
-  /// Crash/restart: replace the full queue state (length + history) with a
+  /// Crash/restart: set the length, the queue's whole state, from a
   /// checkpointed snapshot (core/checkpoint.hpp).  Throws on a negative or
-  /// non-finite length or history entry — a restored queue must still be a
-  /// valid [.]^+ iterate.
-  void restore(double q, std::vector<double> history);
-
-  /// Queue length after every update so far (diagnostics / Theorem 2 checks).
-  const std::vector<double>& history() const { return history_; }
+  /// non-finite length: a restored queue must still be a valid [.]^+ iterate.
+  void restore(double q);
 
  private:
   double q_ = 0.0;
-  std::vector<double> history_;
 };
 
 }  // namespace coca::core

@@ -64,7 +64,6 @@ void DynamicRecCocaController::observe(std::size_t t,
   // ... then the procurement decision against the post-update queue: the
   // purchase offsets deficit exactly like alpha*f would have.
   const double bought = purchase_decision(t, queue_.length());
-  purchases_.push_back(bought);
   if (bought > 0.0) {
     obs::count("rec.purchases");
     obs::observe("rec.purchase_kwh", bought);
@@ -92,12 +91,6 @@ std::string DynamicRecCocaController::checkpoint(std::size_t upto_slot) const {
   state += obs::json_number(ledger_.retired_total());
   state += "},\"spend\":";
   state += obs::json_number(spend_);
-  state += ",\"purchases\":[";
-  for (std::size_t i = 0; i < purchases_.size(); ++i) {
-    if (i > 0) state += ',';
-    state += obs::json_number(purchases_[i]);
-  }
-  state += ']';
   return render_checkpoint(name(), upto_slot, state);
 }
 
@@ -108,10 +101,6 @@ void DynamicRecCocaController::restore(const std::string& blob) {
   ledger_.restore(ledger.at("purchased").as_double(),
                   ledger.at("retired").as_double());
   spend_ = doc.at("spend").as_double();
-  purchases_.clear();
-  for (const auto& entry : doc.at("purchases").as_array()) {
-    purchases_.push_back(entry.as_double());
-  }
   obs::count("rec.restores");
 }
 

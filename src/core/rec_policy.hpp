@@ -46,9 +46,9 @@ class DynamicRecCocaController final : public SlotController {
   double diagnostic_queue_length() const override { return queue_.length(); }
   SlotDiagnostics diagnostics(std::size_t t) const override;
 
-  /// Degraded-mode hooks: capacity hot-swap plus coca-ckpt-v1 crash/restart
-  /// covering the full purchasing state (queue, ledger, spend, purchase
-  /// history) on top of the base COCA queue.
+  /// Degraded-mode hooks: capacity hot-swap plus coca-ckpt-v2 crash/restart
+  /// covering the purchasing state (queue, ledger totals, spend) on top of
+  /// the base COCA queue.
   void set_fleet(const dc::Fleet& fleet) override { fleet_ = &fleet; }
   bool supports_checkpoint() const override { return true; }
   std::string checkpoint(std::size_t upto_slot) const override;
@@ -67,8 +67,6 @@ class DynamicRecCocaController final : public SlotController {
   units::KiloWattHours purchased() const {
     return units::KiloWattHours{ledger_.purchased_total()};
   }
-  /// Per-slot purchases so far (kWh).
-  const std::vector<double>& purchase_history() const { return purchases_; }
 
  private:
   const dc::Fleet* fleet_;
@@ -78,7 +76,6 @@ class DynamicRecCocaController final : public SlotController {
   opt::LadderSolver ladder_;
   energy::RecLedger ledger_;
   double spend_ = 0.0;
-  std::vector<double> purchases_;
 };
 
 }  // namespace coca::core

@@ -44,7 +44,7 @@ struct FaultStats {
   std::int64_t fallback_activations = 0;  ///< deadline fallbacks actuated
   std::int64_t shed_slots = 0;            ///< slots that shed load
   std::int64_t crash_restarts = 0;        ///< controller restore events
-  std::int64_t checkpoints_taken = 0;     ///< coca-ckpt-v1 blobs written
+  std::int64_t checkpoints_taken = 0;     ///< coca-ckpt-v2 blobs written
   double shed_lambda_total = 0.0;         ///< total shed arrival rate (req/s)
 };
 

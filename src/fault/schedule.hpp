@@ -21,7 +21,7 @@
 //                         evaluations; E = 0 means the solver never ran and
 //                         the anytime fallback actuates.
 //   (d) CrashEvent      — the controller process dies before the slot and is
-//                         restored from its last coca-ckpt-v1 checkpoint
+//                         restored from its last coca-ckpt-v2 checkpoint
 //                         (checkpoint_every controls the cadence; cadence 1
 //                         loses no slots and must be bit-identical).
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <stdexcept>
 
@@ -96,11 +97,21 @@ namespace {
 // (a checkpoint blob, a trace line) would otherwise overflow the stack.
 constexpr int kMaxDepth = 256;
 
+// Documents longer than this are rejected before parsing, so a hostile or
+// runaway input cannot make the parser build an arbitrarily large tree.  The
+// largest document any writer in this repo emits is a ~3 KB BENCH report;
+// checkpoint blobs and trace lines are under 2 KB.
+constexpr std::size_t kMaxBytes = std::size_t{1} << 20;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
+    if (text_.size() > kMaxBytes) {
+      pos_ = kMaxBytes;
+      fail("document larger than " + std::to_string(kMaxBytes) + " bytes");
+    }
     JsonValue value = parse_value();
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing characters after document");

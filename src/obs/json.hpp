@@ -66,7 +66,8 @@ class JsonValue {
 };
 
 /// Parse a complete JSON document; throws std::runtime_error with a byte
-/// offset on malformed input or trailing garbage.
+/// offset on malformed input, trailing garbage, nesting deeper than 256
+/// containers or a document longer than 1 MiB.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace coca::obs

@@ -62,7 +62,7 @@ SimResult run_simulation(const dc::Fleet& fleet, const Environment& env,
   }
   fault::FaultStats& fstats = result.faults;
 
-  // Crash resilience: checkpoint the controller (coca-ckpt-v1) every
+  // Crash resilience: checkpoint the controller (coca-ckpt-v2) every
   // `checkpoint_every` slots; a crash restores the last blob.  Controllers
   // without checkpoint support simply keep their (uncrashed) state — the
   // crash still counts as a restart.

@@ -194,6 +194,23 @@ TEST(ObsJson, ParseRejectsExcessiveNestingWithByteOffset) {
   EXPECT_THROW(parse_json(objects), std::runtime_error);
 }
 
+TEST(ObsJson, ParseRejectsOversizedDocumentWithByteOffset) {
+  // A document over the 1 MiB limit fails before any of it is parsed, at the
+  // first byte past the limit; one at the limit still parses.
+  constexpr std::size_t kLimit = std::size_t{1} << 20;
+  const std::string at_limit = '"' + std::string(kLimit - 2, 'a') + '"';
+  EXPECT_EQ(parse_json(at_limit).as_string().size(), kLimit - 2);
+  try {
+    parse_json('"' + std::string(kLimit - 1, 'a') + '"');
+    FAIL() << "a document over the size limit parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 1048576"), std::string::npos)
+        << e.what();
+  }
+  // Whitespace counts too: the limit is on the document, not its values.
+  EXPECT_THROW(parse_json("0" + std::string(kLimit, ' ')), std::runtime_error);
+}
+
 TEST(ObsTrace, JsonLineHasFixedKeyOrderAndParses) {
   SlotTrace slot;
   slot.t = 3;
