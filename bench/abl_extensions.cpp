@@ -111,17 +111,21 @@ int main() {
   struct CapPoint {
     double cost = 0.0, peak = 0.0;
     int binding = 0, dropped = 0;
+    long ladder_solves = 0;
   };
   bench::sweep_note(runner, cap_fractions.size(), "power-cap");
   const auto cap_points = runner.map(cap_fractions, [&](double fraction) {
     const double cap = uncapped_peak * fraction;
     CapPoint point;
+    double hint = 0.0;  // warm start: the last binding hour's multiplier
     for (std::size_t t = 0; t < scenario.env.slots(); ++t) {
       const opt::SlotInput input{scenario.env.workload[t],
                                  scenario.env.onsite_kw[t],
                                  scenario.env.price[t]};
-      const auto result =
-          opt::solve_power_capped(scenario.fleet, input, weights, cap);
+      const auto result = opt::solve_power_capped(scenario.fleet, input,
+                                                  weights, cap, {}, hint);
+      if (result.multiplier > 0.0) hint = result.multiplier;
+      point.ladder_solves += result.clearings;
       point.cost += result.solution.outcome.total_cost;
       point.peak = std::max(point.peak, result.solution.outcome.facility_power_kw);
       if (result.multiplier > 0.0) ++point.binding;
@@ -160,6 +164,9 @@ int main() {
       entry.meta["peak_mw"] = point.peak / 1000.0;
       entry.meta["binding_hours"] = static_cast<double>(point.binding);
       entry.meta["dropped_caps"] = static_cast<double>(point.dropped);
+      entry.meta["ladder_solves_per_slot"] =
+          static_cast<double>(point.ladder_solves) /
+          static_cast<double>(scenario.env.slots());
       report.add(entry);
     }
     bench::emit_bench_report(report);

@@ -78,6 +78,8 @@ int main() {
         100.0 * perfect_hp.metrics.total_brown_kwh() /
         scenario.budget.total_allowance();
     hp_entry.meta["caps_dropped"] = static_cast<double>(hp.caps_dropped());
+    hp_entry.meta["ladder_solves_per_slot"] =
+        static_cast<double>(hp.ladder_solves()) / static_cast<double>(hours);
     report.add(hp_entry);
     bench::emit_bench_report(report);
   }

@@ -17,7 +17,8 @@
 //                                       both; exit 1 on the first divergence
 //   obs_query health-summary <file> [--fail-on-unexpected] [--require RULE]
 //                                       count coca-health-v1 events by
-//                                       rule/level/expected; optionally gate
+//                                       rule/level/expected; optionally gate;
+//                                       exit 1 on any torn line
 //   obs_query --self-test               built-in fixture suite
 //
 // Everything except wall-clock readings prints deterministically
@@ -207,20 +208,31 @@ int cmd_validate(const std::string& text, const std::string& label) {
   return kExitOk;
 }
 
+/// quantiles and stages skim past lines that fail to parse (validate is the
+/// strict gate), but say how many they skipped.
+void report_skipped(std::int64_t skipped) {
+  if (skipped > 0) {
+    std::cout << "skipped " << skipped << " unparsable line(s)\n";
+  }
+}
+
 int cmd_quantiles(const std::string& field, const std::string& text) {
   std::vector<double> values;
+  std::int64_t skipped = 0;
   for (const std::string& line : split_lines(text)) {
     JsonValue value;
     try {
       value = coca::obs::parse_json(line);
     } catch (const std::exception&) {
-      continue;  // quantiles skim; validate is the strict gate
+      ++skipped;
+      continue;
     }
     if (value.is_object() && value.contains(field) &&
         value.at(field).is_number()) {
       values.push_back(value.at(field).as_double());
     }
   }
+  report_skipped(skipped);
   if (values.empty()) {
     std::cout << "field \"" << field << "\": no numeric samples\n";
     return kExitFail;
@@ -252,14 +264,17 @@ int cmd_quantiles(const std::string& field, const std::string& text) {
 int cmd_stages(const std::string& text) {
   // The span profile is a footer: take the last matching line.
   const std::vector<std::string> lines = split_lines(text);
+  std::int64_t skipped = 0;
   for (auto it = lines.rbegin(); it != lines.rend(); ++it) {
     JsonValue value;
     try {
       value = coca::obs::parse_json(*it);
     } catch (const std::exception&) {
+      ++skipped;
       continue;
     }
     if (classify(value) != LineKind::kSpanProfile) continue;
+    report_skipped(skipped);
     const std::string err = validate_line(value, LineKind::kSpanProfile);
     if (!err.empty()) {
       std::cout << "span profile: " << err << '\n';
@@ -299,6 +314,7 @@ int cmd_stages(const std::string& text) {
     }
     return kExitOk;
   }
+  report_skipped(skipped);
   std::cout << "no coca-span-profile-v1 line found\n";
   return kExitFail;
 }
@@ -341,15 +357,21 @@ int cmd_health_summary(const std::string& text, bool fail_on_unexpected,
   };
   std::map<Key, std::int64_t> counts;
   std::int64_t info = 0, warn = 0, critical = 0, unexpected_paging = 0;
+  // A torn line may have been a page: count it and fail, never drop it.
+  std::int64_t torn = 0;
   for (const std::string& line : split_lines(text)) {
     JsonValue value;
     try {
       value = coca::obs::parse_json(line);
     } catch (const std::exception&) {
+      ++torn;
       continue;
     }
     if (classify(value) != LineKind::kHealth) continue;
-    if (!validate_line(value, LineKind::kHealth).empty()) continue;
+    if (!validate_line(value, LineKind::kHealth).empty()) {
+      ++torn;
+      continue;
+    }
     Key key;
     key.rule = value.at("rule").as_string();
     key.level = value.at("level").as_string();
@@ -380,6 +402,11 @@ int cmd_health_summary(const std::string& text, bool fail_on_unexpected,
   }
   if (fail_on_unexpected && unexpected_paging > 0) {
     std::cout << "gate: unexpected warn/critical events present\n";
+    exit_code = kExitFail;
+  }
+  if (torn > 0) {
+    std::cout << "gate: " << torn
+              << " torn line(s) (unparsable, or health events off schema)\n";
     exit_code = kExitFail;
   }
   return exit_code;
@@ -456,6 +483,15 @@ int self_test() {
   SELF_CHECK(cmd_health_summary(health_expected + "\n", true, {}) == kExitOk);
   SELF_CHECK(cmd_health_summary(good, false, {"queue_bound"}) == kExitOk);
   SELF_CHECK(cmd_health_summary(good, false, {"no_rule"}) == kExitFail);
+  // A queue_bound page torn mid-write (closing brace lost) must fail the
+  // summary, with or without the unexpected-event gate.
+  const std::string torn_page =
+      slot + "\n" + health.substr(0, health.size() - 1) + "\n";
+  SELF_CHECK(cmd_health_summary(torn_page, true, {}) == kExitFail);
+  SELF_CHECK(cmd_health_summary(torn_page, false, {}) == kExitFail);
+  // quantiles and stages still skim a torn file.
+  SELF_CHECK(cmd_quantiles("total_cost", torn_page) == kExitOk);
+  SELF_CHECK(cmd_stages(torn_page + profile + "\n") == kExitOk);
 
   std::cout << "obs_query self-test: OK\n";
   return kExitOk;

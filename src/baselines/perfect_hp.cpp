@@ -44,8 +44,10 @@ opt::SlotSolution PerfectHpController::plan(std::size_t t,
   if (t >= caps_.size()) {
     throw std::out_of_range("PerfectHP::plan: slot beyond the budgeted horizon");
   }
-  const auto result = solver_.solve(*fleet_, input, weights_, caps_[t]);
+  const auto result = solver_.solve(*fleet_, input, weights_, caps_[t], hint_);
   if (result.cap_dropped) ++caps_dropped_;
+  if (result.multiplier > 0.0) hint_ = result.multiplier;
+  ladder_solves_ += static_cast<std::size_t>(result.clearings);
   return result.solution;
 }
 

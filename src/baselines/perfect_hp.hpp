@@ -9,7 +9,9 @@
 // across 48-hour windows; within each window the hourly budget is allocated
 // in proportion to the (perfectly predicted) hourly workloads.  Each hour the
 // operator minimizes cost subject to its hourly cap; when the cap is
-// infeasible (workload burst), it is dropped for that hour.
+// infeasible (workload burst), it is dropped for that hour.  Caps are
+// workload-proportional and move smoothly from hour to hour, so each hour's
+// multiplier search starts from the last binding hour's multiplier.
 
 #include <vector>
 
@@ -40,6 +42,8 @@ class PerfectHpController final : public core::SlotController {
   const std::vector<double>& hourly_caps() const { return caps_; }
   /// Hours whose cap had to be dropped so far.
   std::size_t caps_dropped() const { return caps_dropped_; }
+  /// Ladder solves and multiplier probes used so far.
+  std::size_t ladder_solves() const { return ladder_solves_; }
 
  private:
   const dc::Fleet* fleet_;
@@ -47,6 +51,9 @@ class PerfectHpController final : public core::SlotController {
   opt::CappedSlotSolver solver_;
   std::vector<double> caps_;
   std::size_t caps_dropped_ = 0;
+  std::size_t ladder_solves_ = 0;
+  /// Warm start of the multiplier search: the last binding multiplier.
+  double hint_ = 0.0;
 };
 
 }  // namespace coca::baselines

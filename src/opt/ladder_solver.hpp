@@ -50,7 +50,7 @@ class LadderSolver {
   /// Throws std::invalid_argument on an input validate() rejects.
   /// An optional LoadLpContext (built for the *same* fleet) carries the
   /// load-LP caches across repeated solves — the capped solvers reuse one
-  /// across their multiplier bisections; when omitted a solve-local context
+  /// across their multiplier searches; when omitted a solve-local context
   /// is used.  Without polish passes results are bit-identical either way:
   /// every clearing goes through the context's canonical solve_linear.  The
   /// polish grid goes through solve(), whose warm candidates agree with the
@@ -59,14 +59,14 @@ class LadderSolver {
                      const SlotWeights& weights,
                      LoadLpContext* lp = nullptr) const;
 
-  const LadderConfig& config() const { return config_; }
-
- private:
-  /// Provision + balance with a fixed linear energy price mu (no kink).
+  /// Provision + balance with a fixed linear energy price mu (no kink),
+  /// scored at `weights`: the capped solvers' probe.  Expects an input
+  /// solve() accepts, with lambda > 0.
   SlotSolution solve_linear(const dc::Fleet& fleet, const SlotInput& input,
                             const SlotWeights& weights, double mu,
                             LoadLpContext& lp) const;
 
+ private:
   /// One local-search polish pass over (group, level, count-step) moves,
   /// each solved through the context and adopted when it improves the
   /// objective; returns true if it improved the solution.

@@ -41,18 +41,13 @@ TieredSlotResult solve_tiered_slot(const dc::Fleet& fleet,
     }
   };
 
-  // (a) Interior candidates: solve at each tier's marginal price; the
-  // candidate is *consistent* when its usage actually lands in that tier.
-  // Inconsistent candidates are still scored with the true tariff (they are
-  // feasible decisions), so the search never loses to them.
+  // (a) Interior candidates: solve at each tier's marginal price.  A
+  // candidate whose usage lands outside its tier is still scored with the
+  // true tariff (it is a feasible decision), so the search never loses to it.
   for (std::size_t k = 0; k < tariff.tier_count(); ++k) {
     SlotInput tier_input = input;
     tier_input.price = tariff.tier(k).price;
-    SlotSolution candidate = solver.solve(fleet, tier_input, weights);
-    const bool consistent =
-        candidate.feasible && tariff.tier_of(candidate.outcome.brown_kwh) == k;
-    consider(std::move(candidate), k, false);
-    (void)consistent;
+    consider(solver.solve(fleet, tier_input, weights), k, false);
   }
 
   // (b) Boundary candidates: pin usage to each finite tier threshold via the

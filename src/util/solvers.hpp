@@ -23,7 +23,11 @@ struct BisectionOptions {
 
 /// Find x in [lo, hi] with f(x) ~= 0 for a monotone (either direction) f.
 /// Requires f(lo) and f(hi) to bracket zero; if both have the same sign the
-/// closer endpoint is returned with converged=false.
+/// closer endpoint is returned with converged=false.  Otherwise the result
+/// is the *last midpoint* evaluated, which can lie on either side of the
+/// root: a caller that needs a point on a given side (say, one that meets a
+/// constraint) must check the sign of fx itself.  At a jump of f the last
+/// midpoint can sit on the wrong side however tight x_tol is.
 BisectionResult bisect(const std::function<double(double)>& f, double lo,
                        double hi, const BisectionOptions& options = {});
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "baselines/carbon_unaware.hpp"
 #include "baselines/lookahead.hpp"
@@ -73,6 +76,71 @@ TEST(PerfectHP, RunsAndRespectsBudgetApproximately) {
   // total can exceed the allowance only via dropped caps.
   EXPECT_LE(result.metrics.total_brown_kwh(),
             scenario.budget.total_allowance() * 1.10);
+}
+
+// The warm hint (the last binding hour's multiplier) makes each hour's
+// search depend on the hours before it; that must stay deterministic.
+TEST(PerfectHP, WarmHintIsDeterministic) {
+  const auto scenario = small_scenario(240);
+  const auto run = [&] {
+    PerfectHpController hp(scenario.fleet, scenario.weights,
+                           scenario.env.workload, scenario.budget);
+    std::vector<double> series;
+    for (std::size_t t = 0; t < 240; ++t) {
+      const opt::SlotInput input{scenario.env.workload[t],
+                                 scenario.env.onsite_kw[t],
+                                 scenario.env.price[t]};
+      const auto plan = hp.plan(t, input);
+      series.push_back(plan.outcome.total_cost);
+      series.push_back(plan.outcome.brown_kwh);
+      for (const auto& group : plan.alloc) {
+        series.push_back(static_cast<double>(group.level));
+        series.push_back(group.active);
+        series.push_back(group.load);
+      }
+    }
+    return std::make_pair(series, hp.ladder_solves());
+  };
+  const auto first = run();
+  const auto second = run();
+  ASSERT_EQ(first.first.size(), second.first.size());
+  EXPECT_EQ(std::memcmp(first.first.data(), second.first.data(),
+                        first.first.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(first.second, second.second);
+}
+
+// A controller started cold mid-run (no hint) drops the same caps as one
+// warmed by the hours before, and both keep brown energy under every cap
+// they meet.
+TEST(PerfectHP, ColdStartMidRunKeepsTheCapPattern) {
+  const auto scenario = small_scenario(240);
+  PerfectHpController warm(scenario.fleet, scenario.weights,
+                           scenario.env.workload, scenario.budget);
+  PerfectHpController cold(scenario.fleet, scenario.weights,
+                           scenario.env.workload, scenario.budget);
+  const auto& caps = warm.hourly_caps();
+  int binding = 0;
+  for (std::size_t t = 0; t < 240; ++t) {
+    const opt::SlotInput input{scenario.env.workload[t],
+                               scenario.env.onsite_kw[t],
+                               scenario.env.price[t]};
+    const std::size_t warm_dropped = warm.caps_dropped();
+    const auto warm_plan = warm.plan(t, input);
+    const bool warm_drop = warm.caps_dropped() > warm_dropped;
+    if (!warm_drop) {
+      EXPECT_LE(warm_plan.outcome.brown_kwh, caps[t] * (1.0 + 1e-9)) << t;
+    }
+    if (t < 120) continue;
+    const std::size_t cold_dropped = cold.caps_dropped();
+    const auto cold_plan = cold.plan(t, input);
+    EXPECT_EQ(cold.caps_dropped() > cold_dropped, warm_drop) << t;
+    if (!warm_drop) {
+      EXPECT_LE(cold_plan.outcome.brown_kwh, caps[t] * (1.0 + 1e-9)) << t;
+      if (warm_plan.outcome.brown_kwh > caps[t] * 0.999) ++binding;
+    }
+  }
+  EXPECT_GT(binding, 10);
 }
 
 TEST(PerfectHP, SizeMismatchThrows) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/coca_controller.hpp"
 #include "energy/tariff.hpp"
@@ -92,6 +94,57 @@ TEST(PowerCap, PowerPriceWeightMonotonicity) {
     EXPECT_LE(sol.outcome.facility_power_kw, prev * (1.0 + 1e-9)) << xi;
     prev = sol.outcome.facility_power_kw;
   }
+}
+
+// Binding power caps at 0.5-0.99 of the unconstrained facility power,
+// across workloads and on-site supplies (including caps below the on-site
+// supply, which bind on free energy).  Oracle: full ladder solves at
+// power_price = xi on a geometric grid, plus points just below the returned
+// multiplier.  Every grid price that meets the cap bounds the returned
+// multiplier from above (within 1%), and every oracle point that meets the
+// cap bounds the returned cost — so a search that stops short of the cap
+// (a point slightly below its multiplier still meets it, cheaper) fails.
+TEST(PowerCap, BindingCapsReturnTheSmallestMeetingMultiplier) {
+  const auto fleet = test_fleet();
+  const opt::SlotWeights w = test_weights();
+  const opt::LadderSolver ladder;
+  int binding = 0;
+  for (double lambda : {30'000.0, 50'000.0, 70'000.0}) {
+    for (double onsite : {0.0, 4'000.0, 1e6}) {
+      const opt::SlotInput input{lambda, onsite, 0.06};
+      const auto base = ladder.solve(fleet, input, w);
+      for (double fraction : {0.5, 0.7, 0.9, 0.99}) {
+        const double cap = base.outcome.facility_power_kw * fraction;
+        const auto capped = opt::solve_power_capped(fleet, input, w, cap);
+        if (capped.cap_met) {
+          EXPECT_LE(capped.solution.outcome.facility_power_kw,
+                    cap * (1.0 + 1e-9))
+              << lambda << " " << onsite << " " << fraction;
+        }
+        std::vector<std::pair<double, bool>> oracle;  // (xi, on the grid)
+        for (double xi = 1e-3; xi <= 1e3; xi *= 1.5) oracle.push_back({xi, true});
+        for (double below : {1e-3, 3e-3, 1e-2, 3e-2}) {
+          oracle.push_back({capped.multiplier * (1.0 - below), false});
+        }
+        for (const auto& [xi, on_grid] : oracle) {
+          opt::SlotWeights probe = w;
+          probe.power_price = xi;
+          const auto at_xi = ladder.solve(fleet, input, probe);
+          if (at_xi.outcome.facility_power_kw > cap * (1.0 + 1e-9)) continue;
+          ++binding;
+          EXPECT_TRUE(capped.cap_met) << lambda << " " << onsite;
+          if (on_grid) {
+            EXPECT_LE(capped.multiplier, xi * 1.01)
+                << lambda << " " << onsite << " " << fraction;
+          }
+          EXPECT_LE(capped.solution.outcome.total_cost,
+                    at_xi.outcome.total_cost * (1.0 + 1e-6))
+              << lambda << " " << onsite << " " << fraction << " xi=" << xi;
+        }
+      }
+    }
+  }
+  EXPECT_GT(binding, 100);
 }
 
 // ---------- tiered tariffs ----------

@@ -61,6 +61,32 @@ TEST(Bisect, StepFunctionConvergesToJump) {
   EXPECT_NEAR(r.x, 2.5, 1e-6);
 }
 
+TEST(Bisect, ReturnsTheLastMidpointOnEitherSide) {
+  // f(x) = x - 1/3 on [0, 1]: the first midpoint 0.5 lies right of the
+  // root, the second (0.25) left of it.  bisect returns whichever came last.
+  const auto f = [](double x) { return x - 1.0 / 3.0; };
+  BisectionOptions options;
+  options.f_tol = 0.0;
+  options.max_iterations = 1;
+  const auto one = bisect(f, 0.0, 1.0, options);
+  EXPECT_EQ(one.x, 0.5);
+  EXPECT_GT(one.fx, 0.0);
+  options.max_iterations = 2;
+  const auto two = bisect(f, 0.0, 1.0, options);
+  EXPECT_EQ(two.x, 0.25);
+  EXPECT_LT(two.fx, 0.0);
+  // A decreasing excess with a jump (a constraint met from 0.7 on): the
+  // last midpoint is within 1e-12 of the jump yet on the side that misses,
+  // so a caller taking root.x as "meets the constraint" would be wrong.
+  options.max_iterations = 200;
+  options.x_tol = 1e-12;
+  const auto jump = bisect([](double x) { return x < 0.7 ? 1.0 : -1.0; },
+                           0.0, 1.0, options);
+  EXPECT_NEAR(jump.x, 0.7, 1e-12);
+  EXPECT_LT(jump.x, 0.7);
+  EXPECT_GT(jump.fx, 0.0);
+}
+
 TEST(BisectWithExpansion, GrowsUpperBound) {
   const auto r = bisect_with_expansion(
       [](double x) { return x - 1000.0; }, 0.0, 1.0, 1e9);
