@@ -65,8 +65,7 @@ inline void run_budget_sweep(const std::string& suite,
     const auto opt_schedule = baselines::solve_offline_opt(
         scenario.fleet, scenario.env.workload.values(),
         scenario.env.onsite_kw.values(), scenario.env.price.values(),
-        scenario.weights, allowance,
-        {.ladder = {}, .usage_rel_tol = 0.002, .max_bisection_runs = 18});
+        scenario.weights, allowance);
 
     return BudgetPoint{
         coca.metrics.average_cost() / unaware_cost,

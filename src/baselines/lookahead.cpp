@@ -18,8 +18,7 @@ LookaheadResult solve_lookahead(const dc::Fleet& fleet,
                                 std::span<const double> price,
                                 const energy::CarbonBudget& budget,
                                 const opt::SlotWeights& weights,
-                                std::size_t frame_length,
-                                const OfflineOptConfig& config) {
+                                std::size_t frame_length) {
   const std::size_t hours = lambda.size();
   if (onsite_kw.size() != hours || price.size() != hours ||
       budget.slots() != hours) {
@@ -50,7 +49,7 @@ LookaheadResult solve_lookahead(const dc::Fleet& fleet,
 
     const auto schedule = solve_offline_opt(
         fleet, lambda.subspan(start, len), onsite_kw.subspan(start, len),
-        price.subspan(start, len), weights, frame_allowance, config);
+        price.subspan(start, len), weights, frame_allowance);
 
     const double frame_cost =
         schedule.total_cost.value();  // UNITS: G_r^* series ($/slot, plotting)

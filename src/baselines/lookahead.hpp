@@ -34,7 +34,6 @@ LookaheadResult solve_lookahead(const dc::Fleet& fleet,
                                 std::span<const double> price,
                                 const energy::CarbonBudget& budget,
                                 const opt::SlotWeights& weights,
-                                std::size_t frame_length,
-                                const OfflineOptConfig& config = {});
+                                std::size_t frame_length);
 
 }  // namespace coca::baselines

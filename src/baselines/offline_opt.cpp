@@ -1,7 +1,9 @@
 #include "baselines/offline_opt.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+
+#include "util/solvers.hpp"
 
 namespace coca::baselines {
 
@@ -10,12 +12,11 @@ OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
                                       std::span<const double> onsite_kw,
                                       std::span<const double> price,
                                       const opt::SlotWeights& weights,
-                                      double multiplier,
-                                      const opt::LadderConfig& ladder) {
+                                      double multiplier) {
   if (lambda.size() != onsite_kw.size() || lambda.size() != price.size()) {
     throw std::invalid_argument("solve_with_multiplier: span size mismatch");
   }
-  opt::LadderSolver solver(ladder);
+  const opt::LadderSolver solver;
   opt::SlotWeights w = weights;
   w.V = 1.0;
   w.q = multiplier;
@@ -37,67 +38,43 @@ OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
                                   std::span<const double> onsite_kw,
                                   std::span<const double> price,
                                   const opt::SlotWeights& weights,
-                                  double allowance_kwh,
-                                  const OfflineOptConfig& config) {
-  // The allowance enters the typed layer once; every comparison below is
-  // kWh-vs-kWh by type.
-  const units::KiloWattHours allowance = units::kwh(allowance_kwh);
-
+                                  double allowance_kwh) {
+  const auto pass = [&](double multiplier) {
+    return solve_with_multiplier(fleet, lambda, onsite_kw, price, weights,
+                                 multiplier);
+  };
   // mu = 0: the unconstrained cost minimizer.  If it meets the budget,
   // complementary slackness says it is optimal.
-  OfflineSchedule best = solve_with_multiplier(fleet, lambda, onsite_kw, price,
-                                               weights, 0.0, config.ladder);
-  if (best.total_brown_kwh <= allowance * (1.0 + 1e-9)) {
-    best.budget_met = true;
-    return best;
+  OfflineSchedule unconstrained = pass(0.0);
+  if (unconstrained.total_brown_kwh <=
+      units::kwh(allowance_kwh) * (1.0 + 1e-9)) {
+    unconstrained.budget_met = true;
+    return unconstrained;
   }
 
-  // Bracket: grow mu until the budget is met.
-  double avg_price = 0.0;
-  for (double p : price) avg_price += p;
-  avg_price /= static_cast<double>(std::max<std::size_t>(1, price.size()));
-  double hi = std::max(1e-3, avg_price);
-  OfflineSchedule at_hi;
-  int runs = 0;
-  for (;;) {
-    at_hi = solve_with_multiplier(fleet, lambda, onsite_kw, price, weights, hi,
-                                  config.ladder);
-    ++runs;
-    if (at_hi.total_brown_kwh <= allowance || hi > 1e12 ||
-        runs >= config.max_bisection_runs) {
-      break;
-    }
-    hi *= 4.0;
+  // The cheapest pass that meets the allowance.  If even the frugal limit
+  // misses (the workload physically requires more brown energy), the frugal
+  // schedule, the last pass, is returned unmet.
+  double max_price = 0.0, mean_price = 0.0;
+  for (double p : price) {
+    max_price = std::max(max_price, p);
+    mean_price += p;
   }
-  if (at_hi.total_brown_kwh > allowance) {
-    // Even an enormous energy price cannot meet the allowance (the workload
-    // physically requires more brown energy): return the frugal schedule.
-    at_hi.budget_met = false;
-    return at_hi;
-  }
-
-  // Bisection: usage is nonincreasing in mu; keep the cheapest schedule that
-  // meets the allowance.
-  double lo = 0.0;
-  OfflineSchedule best_feasible = at_hi;
-  while (runs < config.max_bisection_runs) {
-    const double mid = 0.5 * (lo + hi);
-    OfflineSchedule at_mid = solve_with_multiplier(
-        fleet, lambda, onsite_kw, price, weights, mid, config.ladder);
-    ++runs;
-    if (at_mid.total_brown_kwh <= allowance) {
-      best_feasible = at_mid;
-      hi = mid;
-      if (at_mid.total_brown_kwh >=
-          allowance * (1.0 - config.usage_rel_tol)) {
-        break;  // within tolerance of exhausting the budget
-      }
-    } else {
-      lo = mid;
-    }
-  }
-  best_feasible.budget_met = true;
-  return best_feasible;
+  mean_price /= static_cast<double>(std::max<std::size_t>(1, price.size()));
+  OfflineSchedule probe, kept;
+  const auto search = util::smallest_multiplier(
+      [&](double multiplier) {
+        probe = pass(multiplier);
+        return util::MultiplierProbe{
+            probe.total_brown_kwh.value(),  // UNITS: searched against kWh
+            probe.total_cost.value()};      // UNITS: ranks the met passes
+      },
+      [&] { kept = probe; }, allowance_kwh,
+      unconstrained.total_brown_kwh.value(),  // UNITS: searched against kWh
+      1e7 * std::max(1.0, max_price), std::max(1e-3, mean_price));
+  if (!search.met) return probe;
+  kept.budget_met = true;
+  return kept;
 }
 
 }  // namespace coca::baselines

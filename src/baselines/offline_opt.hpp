@@ -5,8 +5,9 @@
 // carbon-neutrality constraint (10), so its Lagrangian dual decomposes into
 // per-slot problems  min_t g(t) + mu * y(t)  — structurally identical to P3
 // with a *constant* queue length mu.  Annual brown energy is nonincreasing
-// in mu, so a scalar bisection finds the multiplier whose relaxed schedule
-// exactly exhausts the budget (complementary slackness).  For this problem
+// in mu, so util::smallest_multiplier (the search every per-slot cap uses,
+// one whole-span pass per probe) finds the multiplier whose relaxed schedule
+// exhausts the budget (complementary slackness).  For this problem
 // the per-slot decisions are effectively continuous (thousands of servers),
 // so the duality gap is negligible; tests verify OPT lower-bounds COCA.
 
@@ -25,12 +26,6 @@ struct OfflineSchedule {
   bool budget_met = false;
 };
 
-struct OfflineOptConfig {
-  opt::LadderConfig ladder;
-  double usage_rel_tol = 0.002;  ///< bisection tolerance on the budget
-  int max_bisection_runs = 24;
-};
-
 /// Compute the OPT schedule for the given environment (equal-length spans of
 /// workload req/s, on-site kW, price $/kWh) under an annual brown-energy
 /// allowance (kWh).  Weights supply beta/gamma/pue/slot_hours (V=1 is used).
@@ -39,8 +34,7 @@ OfflineSchedule solve_offline_opt(const dc::Fleet& fleet,
                                   std::span<const double> onsite_kw,
                                   std::span<const double> price,
                                   const opt::SlotWeights& weights,
-                                  double allowance_kwh,
-                                  const OfflineOptConfig& config = {});
+                                  double allowance_kwh);
 
 /// One relaxed pass: solve every slot at a fixed multiplier.  Exposed for
 /// the lookahead family and tests.
@@ -49,7 +43,6 @@ OfflineSchedule solve_with_multiplier(const dc::Fleet& fleet,
                                       std::span<const double> onsite_kw,
                                       std::span<const double> price,
                                       const opt::SlotWeights& weights,
-                                      double multiplier,
-                                      const opt::LadderConfig& ladder = {});
+                                      double multiplier);
 
 }  // namespace coca::baselines

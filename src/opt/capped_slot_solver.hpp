@@ -6,14 +6,12 @@
 // power ... can also be incorporated") is SlotWeights::power_price.  Both add
 // to the clearing price, and both caps are a target on the facility power of
 // one ladder clearing (r + cap/h, or max_kw): a nonincreasing, piecewise
-// smooth staircase in the multiplier, which one search drives to its target.
-// Where a cap binds, the solution sits on one side of the renewable kink, so
-// each probe is a single clearing.  When even the most frugal clearing
-// misses, the cap is dropped, as in the paper's PerfectHP ("if no feasible
-// solution exists ... minimize the cost without considering the hourly
-// carbon budget").
-
-#include <functional>
+// smooth staircase in the multiplier, which LadderSolver::clear_to_power
+// (util::smallest_multiplier) drives to its target.  Where a cap binds, the
+// solution sits on one side of the renewable kink, so each probe is a single
+// clearing.  When even the most frugal clearing misses, the cap is dropped,
+// as in the paper's PerfectHP ("if no feasible solution exists ... minimize
+// the cost without considering the hourly carbon budget").
 
 #include "opt/ladder_solver.hpp"
 
@@ -26,18 +24,6 @@ struct CappedSlotResult {
   bool cap_dropped = false; ///< cap was infeasible and ignored
   int clearings = 0;        ///< ladder solves and probes used
 };
-
-/// The smallest m in (0, frugal] whose clearing clear(m) (scored without the
-/// multiplier's own term) draws at most target_kw, given the power at m = 0
-/// (above it): a bracketed, safeguarded Illinois secant on
-/// ln(1e-9*frugal + m).  The first probe is at `hint` (0: cold); if it
-/// misses, the frugal limit is probed next and decides cap_met.  Stops once
-/// the kept probe is within 1e-5 of the target (or of the nearest miss), the
-/// bracket within 1e-4, or after 60 clearings.  Returns the lowest-objective
-/// probe that met the target — always a probe it checked.
-CappedSlotResult smallest_multiplier(
-    const std::function<SlotSolution(double)>& clear, double target_kw,
-    double power_at_zero, double frugal, double hint);
 
 class CappedSlotSolver {
  public:

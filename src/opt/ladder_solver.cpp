@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/solvers.hpp"
 
 namespace coca::opt {
 namespace {
@@ -246,6 +246,23 @@ SlotSolution LadderSolver::solve_linear(const dc::Fleet& fleet,
   return solution;
 }
 
+util::MultiplierSearch LadderSolver::clear_to_power(
+    const dc::Fleet& fleet, const SlotInput& input, const SlotWeights& weights,
+    double mu0, double target_kw, double power_at_zero, double frugal,
+    double hint, LoadLpContext& lp, SlotSolution& kept) const {
+  SlotSolution probe;
+  return util::smallest_multiplier(
+      [&](double m) {
+        probe = solve_linear(fleet, input, weights, mu0 + m, lp);
+        return util::MultiplierProbe{
+            probe.feasible ? probe.outcome.facility_power_kw
+                           : std::numeric_limits<double>::infinity(),
+            probe.outcome.objective};
+      },
+      [&] { kept = std::move(probe); }, target_kw, power_at_zero, frugal,
+      hint);
+}
+
 // OBS-EXEMPT(callers open the "ladder_solve" span for this stage)
 // Opening one here too would change the pinned span goldens.
 SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
@@ -285,22 +302,24 @@ SlotSolution LadderSolver::solve(const dc::Fleet& fleet, const SlotInput& input,
       delay_min.regime = PowerRegime::kRenewable;
       solution = delay_min;
     } else {
-      // Boundary: pin facility power to the on-site supply.
-      auto power_gap = [&](double mu) {
-        return solve_linear(fleet, input, weights, mu, *lp)
-                   .outcome.facility_power_kw -
-               input.onsite_kw;
-      };
-      util::BisectionOptions options;
-      options.x_tol = std::max(1e-12, mu_full * 1e-6);
-      options.f_tol = 1e-4 * std::max(1.0, input.onsite_kw);
-      options.max_iterations = 60;
-      const auto boundary = util::bisect(power_gap, mu_floor, mu_full, options);
-      SlotSolution pinned = solve_linear(fleet, input, weights, boundary.x, *lp);
+      // Boundary: pin facility power to the on-site supply.  Regime A's
+      // clearing at mu_full meets it, so the search is bracketed there.
+      const double p_free = delay_min.outcome.facility_power_kw;
+      const double p_grid = solution.outcome.facility_power_kw;
+      const double frugal = mu_full - mu_floor;
+      SlotSolution pinned;
+      const auto boundary = clear_to_power(
+          fleet, input, weights, mu_floor, input.onsite_kw * (1.0 + 1e-9),
+          p_free, frugal,
+          frugal * (p_free - input.onsite_kw) / (p_free - p_grid), *lp,
+          pinned);
       pinned.regime = PowerRegime::kBoundary;
       // Keep whichever of the three candidates scores best on the true
       // objective (the kinked objective is what evaluate() reports).
-      if (pinned.outcome.objective < solution.outcome.objective) solution = pinned;
+      if (boundary.met &&
+          pinned.outcome.objective < solution.outcome.objective) {
+        solution = pinned;
+      }
       if (delay_min.outcome.objective < solution.outcome.objective) {
         delay_min.regime = PowerRegime::kRenewable;
         solution = delay_min;

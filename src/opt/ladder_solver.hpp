@@ -10,8 +10,9 @@
 // until its server count saturates.  Parameterizing every group's best
 // response by a common workload price nu turns provisioning into a scalar
 // market-clearing problem: a bisection on nu activates groups in merit order
-// and sizes the marginal group.  The renewable kink is handled by an outer
-// bisection on mu exactly as in the load balancer.  With ~1000 servers per
+// and sizes the marginal group.  At the renewable kink the facility power is
+// pinned to the on-site supply by util::smallest_multiplier over mu, the
+// search every per-slot cap uses.  With ~1000 servers per
 // group the integrality gap of the relaxation is negligible; an optional
 // local-search polish tightens the remaining slack.
 //
@@ -23,6 +24,7 @@
 #include "opt/load_balancer.hpp"
 #include "opt/load_lp.hpp"
 #include "opt/slot_problem.hpp"
+#include "util/solvers.hpp"
 
 namespace coca::opt {
 
@@ -65,6 +67,18 @@ class LadderSolver {
   SlotSolution solve_linear(const dc::Fleet& fleet, const SlotInput& input,
                             const SlotWeights& weights, double mu,
                             LoadLpContext& lp) const;
+
+  /// The smallest m in (0, frugal] whose clearing solve_linear(mu0 + m)
+  /// draws at most target_kw of facility power (util::smallest_multiplier,
+  /// given the power at m = 0); `kept` receives the lowest-objective
+  /// clearing that met the target.
+  util::MultiplierSearch clear_to_power(const dc::Fleet& fleet,
+                                        const SlotInput& input,
+                                        const SlotWeights& weights, double mu0,
+                                        double target_kw, double power_at_zero,
+                                        double frugal, double hint,
+                                        LoadLpContext& lp,
+                                        SlotSolution& kept) const;
 
  private:
   /// One local-search polish pass over (group, level, count-step) moves,

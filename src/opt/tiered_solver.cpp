@@ -51,11 +51,12 @@ TieredSlotResult solve_tiered_slot(const dc::Fleet& fleet,
   }
 
   // (b) Boundary candidates: pin usage to each finite tier threshold via the
-  // brown-energy cap (using the tier-above price for the inner solve; the
-  // rescoring applies the exact tariff anyway).
+  // brown-energy cap at the price of the tier below it.  When the optimum
+  // sits on the threshold, usage at that price overshoots it, so the cap
+  // binds; at the tier above, usage falls short and the cap never binds.
   for (std::size_t k = 0; k + 1 < tariff.tier_count(); ++k) {
     SlotInput boundary_input = input;
-    boundary_input.price = tariff.tier(k + 1).price;
+    boundary_input.price = tariff.tier(k).price;
     const auto pinned = capped.solve(fleet, boundary_input, weights,
                                      tariff.tier(k).upto_kwh);
     if (pinned.cap_dropped) continue;

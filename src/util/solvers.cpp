@@ -1,6 +1,8 @@
 #include "util/solvers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace coca::util {
 
@@ -43,51 +45,71 @@ BisectionResult bisect(const std::function<double(double)>& f, double lo,
   return result;
 }
 
-BisectionResult bisect_with_expansion(const std::function<double(double)>& f,
-                                      double lo, double hi_initial,
-                                      double hi_limit,
-                                      const BisectionOptions& options) {
-  const double flo = f(lo);
-  double hi = hi_initial;
-  double fhi = f(hi);
-  int expansions = 0;
-  while (flo * fhi > 0.0 && hi < hi_limit && expansions < 128) {
-    hi = std::min(hi * 2.0, hi_limit);
-    fhi = f(hi);
-    ++expansions;
-  }
-  return bisect(f, lo, hi, options);
-}
-
-MinimizeResult golden_section_minimize(const std::function<double(double)>& f,
-                                       double lo, double hi, double x_tol,
-                                       int max_iterations) {
-  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
-  double a = lo;
-  double b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  int iter = 0;
-  while (iter < max_iterations && (b - a) > x_tol) {
-    ++iter;
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
+MultiplierSearch smallest_multiplier(
+    const std::function<MultiplierProbe(double)>& probe,
+    const std::function<void()>& keep, double target, double value_at_zero,
+    double frugal, double hint) {
+  constexpr double kMiss = std::numeric_limits<double>::infinity();
+  // The value falls roughly linearly in u = ln(offset + m); the offset
+  // keeps m = 0 finite.
+  const double offset = 1e-9 * frugal;
+  const auto to_u = [&](double m) { return std::log(offset + m); };
+  const double tol = 1e-5 * std::max(1.0, target);
+  // The bracket: m_lo misses the target by f_lo > 0, m_hi meets it; g_* are
+  // the Illinois-weighted excesses, `slope` the secant (in u) through the
+  // last two misses, `moved` the end that moved last (+1 lo, -1 hi).
+  double m_lo = 0.0, f_lo = value_at_zero - target, g_lo = f_lo, slope = 0;
+  double m_hi = frugal, f_hi = 0.0, g_hi = 0.0;
+  double kept_objective = kMiss;
+  int moved = 0;
+  double m = std::min(hint > 0.0 ? hint : offset, frugal);
+  MultiplierSearch search;
+  while (search.probes < 60) {
+    const MultiplierProbe at_m = probe(m);
+    ++search.probes;
+    const double f = at_m.value - target;
+    if (f <= 0.0) {
+      if (!search.met || at_m.objective < kept_objective) {
+        keep();
+        kept_objective = at_m.objective;
+        search.multiplier = m;
+        search.met = true;
+      }
+      m_hi = m;
+      f_hi = g_hi = f;
+      if (moved < 0) g_lo *= 0.5;
+      moved = -1;
     } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
+      if (m >= frugal) break;  // even the frugal limit misses
+      slope = (f - f_lo) / (to_u(m) - to_u(m_lo));
+      m_lo = m;
+      f_lo = g_lo = f;
+      if (moved > 0) g_hi *= 0.5;
+      moved = 1;
     }
+    if (!search.met) {  // the first probe missed: is the target attainable?
+      m = frugal;
+      continue;
+    }
+    if (std::min(-f_hi, f_lo - f_hi) <= tol) break;
+    if (m_hi - m_lo <= 1e-4 * m_hi) break;
+    const double u_lo = to_u(m_lo);
+    const double width = to_u(m_hi) - u_lo;
+    double u = g_lo < kMiss ? u_lo + width * g_lo / (g_lo - g_hi)
+                            : u_lo + 0.5 * width;
+    if (m_hi == frugal) {
+      // Only the far frugal limit met the target: extrapolate the last two
+      // misses, overshooting by half, growing the price 1.25x to 16x.
+      const double step =
+          slope < 0.0 && f_lo < kMiss
+              ? std::clamp(-1.5 * f_lo / slope, std::log(1.25), std::log(16.0))
+              : std::log(16.0);
+      if (step < width) u = u_lo + step;
+    }
+    m = std::exp(std::clamp(u, u_lo + 1e-3 * width, u_lo + 0.999 * width)) -
+        offset;
   }
-  const double x = 0.5 * (a + b);
-  return {x, f(x), iter};
+  return search;
 }
 
 }  // namespace coca::util

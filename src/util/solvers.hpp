@@ -1,8 +1,14 @@
 #pragma once
-// Scalar solvers shared by the optimization layer: bisection root-finding on
-// monotone functions and golden-section minimization of unimodal functions.
-// These are the only numeric primitives the whole optimization stack needs —
-// every dual problem in this repository reduces to a monotone scalar equation.
+// Scalar searches shared by the optimization layer.
+//
+//  * bisect: plain bisection on a monotone function, for the load-clearing
+//    searches whose results are pinned bit for bit against the reference
+//    (opt::balance_loads and opt::LoadLpContext).
+//  * smallest_multiplier: the one search over a price multiplier.  Every
+//    dual problem here that prices a constraint with one multiplier (the
+//    renewable kink of P3, PerfectHP's hourly caps, tiered-tariff block
+//    boundaries, the peak-power cap, offline OPT's budget) drives a
+//    nonincreasing quantity to a target through it.
 
 #include <functional>
 
@@ -31,24 +37,31 @@ struct BisectionOptions {
 BisectionResult bisect(const std::function<double(double)>& f, double lo,
                        double hi, const BisectionOptions& options = {});
 
-/// Expand [lo, hi] upward (geometrically) until f changes sign or the limit
-/// is reached, then bisect.  Used when the dual variable's upper bound is not
-/// known a priori.
-BisectionResult bisect_with_expansion(const std::function<double(double)>& f,
-                                      double lo, double hi_initial,
-                                      double hi_limit,
-                                      const BisectionOptions& options = {});
-
-struct MinimizeResult {
-  double x = 0.0;
-  double fx = 0.0;
-  int iterations = 0;
+/// One probe of a multiplier search.
+struct MultiplierProbe {
+  double value = 0.0;      ///< compared with the target; +inf is a miss
+  double objective = 0.0;  ///< ranks the probes that met the target
 };
 
-/// Golden-section search for the minimizer of a unimodal f on [lo, hi].
-MinimizeResult golden_section_minimize(const std::function<double(double)>& f,
-                                       double lo, double hi,
-                                       double x_tol = 1e-9,
-                                       int max_iterations = 200);
+struct MultiplierSearch {
+  double multiplier = 0.0;  ///< the kept probe's multiplier
+  bool met = false;         ///< some probe met the target
+  int probes = 0;           ///< probes evaluated
+};
+
+/// The smallest m in (0, frugal] whose probe(m).value is at most `target`,
+/// for a value nonincreasing (and piecewise smooth, possibly a staircase)
+/// in m, given its value at m = 0 (above the target): a bracketed,
+/// safeguarded Illinois secant on ln(1e-9*frugal + m).  The first probe is
+/// at `hint` (0: cold); if it misses, the frugal limit is probed next and
+/// alone decides `met`.  Stops once the kept probe is within 1e-5 of the
+/// target (or of the nearest miss), the bracket within 1e-4, or after 60
+/// probes.  Keeps the lowest-objective probe that met the target — always a
+/// probe it checked: `keep` is called right after that probe, so the caller
+/// can take the state its probe left behind.
+MultiplierSearch smallest_multiplier(
+    const std::function<MultiplierProbe(double)>& probe,
+    const std::function<void()>& keep, double target, double value_at_zero,
+    double frugal, double hint);
 
 }  // namespace coca::util

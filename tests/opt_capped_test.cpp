@@ -184,15 +184,18 @@ TEST(CappedSolver, SearchReturnsTheBestProbeItChecked) {
           };
           std::vector<Probe> probes;
           LoadLpContext lp(f);
-          const auto search = smallest_multiplier(
+          SlotSolution kept;
+          const auto search = util::smallest_multiplier(
               [&](double m) {
                 probes.push_back(
                     {m, ladder.solve_linear(f, input, w, mu0 + m, lp)});
-                return probes.back().solution;
+                const auto& outcome = probes.back().solution.outcome;
+                return util::MultiplierProbe{outcome.facility_power_kw,
+                                             outcome.objective};
               },
-              target, p0, 1e7, hint);
-          ASSERT_EQ(search.clearings, static_cast<int>(probes.size()));
-          if (!search.cap_met) {
+              [&] { kept = probes.back().solution; }, target, p0, 1e7, hint);
+          ASSERT_EQ(search.probes, static_cast<int>(probes.size()));
+          if (!search.met) {
             // Unattainable: the frugal limit was probed and missed.
             ASSERT_EQ(probes.back().m, 1e7);
             EXPECT_GT(probes.back().solution.outcome.facility_power_kw,
@@ -200,19 +203,19 @@ TEST(CappedSolver, SearchReturnsTheBestProbeItChecked) {
             continue;
           }
           ++met;
-          EXPECT_LE(search.solution.outcome.facility_power_kw, target);
-          EXPECT_LT(search.clearings, 20);
+          EXPECT_LE(kept.outcome.facility_power_kw, target);
+          EXPECT_LT(search.probes, 20);
           bool returned_a_probe = false;
           double smallest_met = 1e7;
           for (const auto& probe : probes) {
             if (probe.solution.outcome.facility_power_kw > target) continue;
             smallest_met = std::min(smallest_met, probe.m);
-            EXPECT_LE(search.solution.outcome.objective,
+            EXPECT_LE(kept.outcome.objective,
                       probe.solution.outcome.objective);
             returned_a_probe |=
                 probe.m == search.multiplier &&
                 std::memcmp(&probe.solution.outcome.objective,
-                            &search.solution.outcome.objective,
+                            &kept.outcome.objective,
                             sizeof(double)) == 0;
           }
           EXPECT_TRUE(returned_a_probe);

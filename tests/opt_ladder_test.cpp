@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "opt/exhaustive_solver.hpp"
 
@@ -117,6 +119,106 @@ TEST(LadderSolver, BoundaryRegimeTracksOnsiteSupply) {
   const auto sol = LadderSolver().solve(fleet, {5'000.0, onsite, 0.06}, w);
   ASSERT_TRUE(sol.feasible);
   EXPECT_NEAR(sol.outcome.facility_power_kw, onsite, 0.02 * onsite);
+}
+
+// The renewable-kink sweep: four default fleets (4-7 groups), lambda at
+// 0.2/0.4/0.6 of capacity, q = 50, beta = 0.01, and the on-site supply
+// stepped from the grid-draw clearing's facility power to the free-energy
+// clearing's, the range where the boundary regime lives.
+struct KinkSweep {
+  dc::Fleet fleet;
+  double lambda = 0.0;
+  double p_grid = 0.0;  ///< facility power with no on-site supply
+  double p_free = 0.0;  ///< facility power with free energy
+};
+
+constexpr double kKinkPrice = 0.06;
+constexpr int kOnsiteSteps = 200;
+
+std::vector<KinkSweep> kink_sweeps() {
+  std::vector<KinkSweep> sweeps;
+  const auto w = weights_with(1.0, 50.0, 0.01);
+  for (std::size_t groups = 4; groups <= 7; ++groups) {
+    const auto fleet = dc::make_default_fleet(
+        {.total_servers = 2'000, .group_count = groups, .generations = 4,
+         .speed_spread = 0.18, .power_spread = 0.12, .seed = groups});
+    for (double share : {0.2, 0.4, 0.6}) {
+      const double lambda = share * fleet.max_capacity();
+      const auto grid =
+          LadderSolver().solve(fleet, {lambda, 0.0, kKinkPrice}, w);
+      const auto free =
+          LadderSolver().solve(fleet, {lambda, 1e9, kKinkPrice}, w);
+      sweeps.push_back({fleet, lambda, grid.outcome.facility_power_kw,
+                        free.outcome.facility_power_kw});
+    }
+  }
+  return sweeps;
+}
+
+double onsite_at(const KinkSweep& sweep, int step) {
+  return sweep.p_grid + (sweep.p_free - sweep.p_grid) * step / kOnsiteSteps;
+}
+
+// A boundary solution is pinned to the on-site supply: it never draws more
+// than onsite*(1+1e-9), the regime-B predicate.
+TEST(LadderSolver, BoundarySolutionsFitTheOnsiteSupply) {
+  const auto w = weights_with(1.0, 50.0, 0.01);
+  int boundary = 0, over = 0;
+  double worst = 0.0;
+  for (const auto& sweep : kink_sweeps()) {
+    for (int step = 0; step <= kOnsiteSteps; ++step) {
+      const SlotInput input{sweep.lambda, onsite_at(sweep, step), kKinkPrice};
+      const auto sol = LadderSolver().solve(sweep.fleet, input, w);
+      ASSERT_TRUE(sol.feasible);
+      if (sol.regime != PowerRegime::kBoundary) continue;
+      ++boundary;
+      const double excess = sol.outcome.facility_power_kw / input.onsite_kw - 1;
+      if (excess > 1e-9) ++over;
+      worst = std::max(worst, excess);
+    }
+  }
+  EXPECT_GT(boundary, 1'000);
+  EXPECT_EQ(over, 0) << "of " << boundary << " boundary solves; worst +"
+                     << worst;
+}
+
+// The kink search finds the cheapest clearing that fits the supply: no
+// single clearing at a price in [power_price, mu_full] that fits it scores
+// lower than the ladder's solution.
+TEST(LadderSolver, KinkIsNoWorseThanAnyClearingThatFitsTheSupply) {
+  const auto w = weights_with(1.0, 50.0, 0.01);
+  const double mu_full = w.brown_price(kKinkPrice);
+  const LadderSolver ladder;
+  int compared = 0, worse = 0;
+  double worst = 0.0;
+  for (const auto& sweep : kink_sweeps()) {
+    // A clearing's allocation does not depend on the on-site supply; only
+    // its score does.
+    std::vector<dc::Allocation> clearings;
+    LoadLpContext lp(sweep.fleet);
+    for (int j = 0; j <= 64; ++j) {
+      const double mu = j == 0 ? 0.0 : mu_full * std::pow(1e-4, 1.0 - j / 64.0);
+      clearings.push_back(ladder
+                              .solve_linear(sweep.fleet,
+                                            {sweep.lambda, 0.0, kKinkPrice}, w,
+                                            mu, lp)
+                              .alloc);
+    }
+    for (int step = 0; step <= kOnsiteSteps; ++step) {
+      const SlotInput input{sweep.lambda, onsite_at(sweep, step), kKinkPrice};
+      const auto sol = ladder.solve(sweep.fleet, input, w);
+      for (const auto& alloc : clearings) {
+        const auto at = evaluate(sweep.fleet, alloc, input, w);
+        if (at.facility_power_kw > input.onsite_kw * (1.0 + 1e-9)) continue;
+        ++compared;
+        const double gap = sol.outcome.objective / at.objective - 1.0;
+        if (gap > 1e-6) ++worse;
+        worst = std::max(worst, gap);
+      }
+    }
+  }
+  EXPECT_GT(compared, 10'000);
+  EXPECT_EQ(worse, 0) << "of " << compared << " comparisons; worst +" << worst;
 }
 
 TEST(LadderSolver, IntegerCountsAreIntegral) {

@@ -1,11 +1,14 @@
-// Tests for the scalar solvers: bisection (the workhorse of every dual
-// problem in the repository) and golden-section minimization.
+// Tests for the scalar searches: bisection (the reference load clearing's
+// root-finder) and the multiplier search every priced constraint uses.
 
 #include "util/solvers.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace coca::util {
 namespace {
@@ -87,36 +90,54 @@ TEST(Bisect, ReturnsTheLastMidpointOnEitherSide) {
   EXPECT_GT(jump.fx, 0.0);
 }
 
-TEST(BisectWithExpansion, GrowsUpperBound) {
-  const auto r = bisect_with_expansion(
-      [](double x) { return x - 1000.0; }, 0.0, 1.0, 1e9);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 1000.0, 1e-5);
+// A staircase value (integral server counts make the ladder's power one):
+// 100 - floor(10*sqrt(m)), target 70, so the met set is m >= 9.  The search
+// keeps the cheapest probe it checked that meets the target.
+TEST(SmallestMultiplier, KeepsTheBestMetProbeOnAStaircase) {
+  const auto value = [](double m) {
+    return 100.0 - std::floor(10.0 * std::sqrt(m));
+  };
+  for (double hint : {0.0, 1.0, 9.0, 50.0, 1e9}) {
+    std::vector<double> probed;
+    double kept = -1.0;
+    const auto search = smallest_multiplier(
+        [&](double m) {
+          probed.push_back(m);
+          return MultiplierProbe{value(m), m};  // objective rises with m
+        },
+        [&] { kept = probed.back(); }, 70.0, value(0.0), 1e6, hint);
+    ASSERT_TRUE(search.met) << hint;
+    EXPECT_EQ(search.probes, static_cast<int>(probed.size()));
+    EXPECT_LE(search.probes, 60);
+    EXPECT_EQ(kept, search.multiplier);
+    EXPECT_LE(value(search.multiplier), 70.0);
+    // It stopped on the step that meets the target, or at a 1e-4 bracket
+    // around the jump to it.
+    double nearest_miss = 0.0;
+    for (double m : probed) {
+      if (value(m) <= 70.0) {
+        EXPECT_GE(m, search.multiplier);  // the cheapest met probe is kept
+      } else {
+        nearest_miss = std::max(nearest_miss, m);
+      }
+    }
+    EXPECT_TRUE(value(search.multiplier) == 70.0 ||
+                search.multiplier - nearest_miss <= 1e-4 * search.multiplier)
+        << hint;
+  }
 }
 
-TEST(BisectWithExpansion, HitsLimitGracefully) {
-  const auto r = bisect_with_expansion(
-      [](double x) { return x - 1000.0; }, 0.0, 1.0, 10.0);
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(GoldenSection, QuadraticMinimum) {
-  const auto r = golden_section_minimize(
-      [](double x) { return (x - 3.0) * (x - 3.0) + 2.0; }, -10.0, 10.0);
-  EXPECT_NEAR(r.x, 3.0, 1e-6);
-  EXPECT_NEAR(r.fx, 2.0, 1e-10);
-}
-
-TEST(GoldenSection, BoundaryMinimum) {
-  const auto r =
-      golden_section_minimize([](double x) { return x; }, 2.0, 5.0);
-  EXPECT_NEAR(r.x, 2.0, 1e-6);
-}
-
-TEST(GoldenSection, NonSymmetricUnimodal) {
-  const auto r = golden_section_minimize(
-      [](double x) { return std::exp(x) - 3.0 * x; }, 0.0, 4.0);
-  EXPECT_NEAR(r.x, std::log(3.0), 1e-6);
+// An infeasible probe reports +inf (a miss), even at m = 0.
+TEST(SmallestMultiplier, InfiniteValueIsAMiss) {
+  const auto search = smallest_multiplier(
+      [](double m) {
+        return MultiplierProbe{
+            m < 4.0 ? std::numeric_limits<double>::infinity() : 1.0, m};
+      },
+      [] {}, 2.0, std::numeric_limits<double>::infinity(), 100.0, 1.0);
+  ASSERT_TRUE(search.met);
+  EXPECT_GE(search.multiplier, 4.0);
+  EXPECT_LE(search.multiplier, 4.0 * (1.0 + 1e-3));
 }
 
 }  // namespace

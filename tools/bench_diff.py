@@ -19,11 +19,16 @@ The regression contract, mirroring src/obs/bench_report.hpp:
   Reports must also pass structural validation (finite values, unique
   names) — the same rules bench_json_check enforces.
 
+* --max-rel also prints the largest relative drift |new - old| / |old| of
+  the deterministic fields, per field and suite and overall (inf for a
+  field that leaves zero), to bound a deliberate re-pin.  It does not change
+  the verdict or the exit status.
+
 Exit status: 0 = no drift, 1 = drift or malformed input, 2 = usage error.
 
 Usage:
   tools/bench_diff.py <old_dir> <new_dir> [--timing-factor F]
-                      [--timing-keys REGEX] [--verbose]
+                      [--timing-keys REGEX] [--max-rel] [--verbose]
   tools/bench_diff.py --self-test
 """
 
@@ -149,17 +154,64 @@ def diff_result(
     return drifts
 
 
+def relative_drift(old: float, new: float) -> float:
+    """|new - old| / |old|; inf when a zero field moves."""
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old != 0 else math.inf
+
+
+def max_rel_drift(old_reports: dict, new_reports: dict) -> dict[str, dict[str, float]]:
+    """Suite -> deterministic field -> its largest relative drift over the
+    results both reports share (fields that do not drift are left out)."""
+    drift = {}
+    for suite in sorted(set(old_reports) & set(new_reports)):
+        old_results = {r["name"]: r for r in old_reports[suite].get("results", [])}
+        new_results = {r["name"]: r for r in new_reports[suite].get("results", [])}
+        fields = drift.setdefault(suite, {})
+        for name in sorted(set(old_results) & set(new_results)):
+            old, new = old_results[name], new_results[name]
+            pairs = [("objective", old.get("objective"), new.get("objective"))]
+            old_meta, new_meta = old.get("meta", {}), new.get("meta", {})
+            pairs += [
+                (f"meta {key!r}", old_meta[key], new_meta[key])
+                for key in sorted(set(old_meta) & set(new_meta))
+                if not is_timing_key(key)
+            ]
+            for field, a, b in pairs:
+                if not all(isinstance(v, (int, float)) for v in (a, b)):
+                    continue
+                rel = relative_drift(a, b)
+                if rel > fields.get(field, 0.0):
+                    fields[field] = rel
+    return drift
+
+
+def print_max_rel(drift: dict[str, dict[str, float]]) -> None:
+    overall, worst_suite = 0.0, None
+    for suite, fields in drift.items():
+        suite_max = max(fields.values(), default=0.0)
+        detail = ", ".join(f"{field} {rel:.3g}" for field, rel in fields.items())
+        print(f"max-rel: suite {suite!r}: {suite_max:.3g}" + (f" ({detail})" if detail else ""))
+        if suite_max > overall:
+            overall, worst_suite = suite_max, suite
+    print(f"max-rel: overall {overall:.3g}" + (f" (suite {worst_suite!r})" if worst_suite else ""))
+
+
 def diff_dirs(
     old_dir: Path,
     new_dir: Path,
     factor: float,
     verbose: bool,
     timing_re: "re.Pattern | None" = None,
+    max_rel: bool = False,
 ) -> int:
     old_reports, problems = load_reports(old_dir)
     new_reports, new_problems = load_reports(new_dir)
     problems += new_problems
     drift_lines = list(problems)
+    if max_rel:
+        print_max_rel(max_rel_drift(old_reports, new_reports))
 
     for suite in sorted(set(old_reports) | set(new_reports)):
         if suite not in new_reports:
@@ -233,6 +285,7 @@ def self_test() -> int:
         want: int,
         factor: float = 0.0,
         timing_keys: str | None = None,
+        max_rel: bool = False,
     ):
         with tempfile.TemporaryDirectory() as tmp:
             old_dir, new_dir = Path(tmp, "old"), Path(tmp, "new")
@@ -242,7 +295,10 @@ def self_test() -> int:
             for i, text in enumerate(new):
                 (new_dir / f"BENCH_s{i}.json").write_text(text)
             timing_re = re.compile(timing_keys) if timing_keys else None
-            got = diff_dirs(old_dir, new_dir, factor, verbose=False, timing_re=timing_re)
+            got = diff_dirs(
+                old_dir, new_dir, factor, verbose=False, timing_re=timing_re,
+                max_rel=max_rel,
+            )
             if got != want:
                 failures.append(f"{case}: exit {got}, wanted {want}")
 
@@ -350,6 +406,16 @@ def self_test() -> int:
         1,
     )
     expect("empty dirs rejected", [], [], 1)
+    drifted = _report("a", [_result("r", objective=2.5, wall_s=9.0, groups=8.0)])
+    expect("max-rel keeps the drift verdict", [same], [drifted], 1, max_rel=True)
+    expect("max-rel keeps the no-drift verdict", [same], [same], 0, max_rel=True)
+    rel = max_rel_drift(
+        {"a": json.loads(same), "b": json.loads(_report("b", [_result("r", hours=0.0)]))},
+        {"a": json.loads(drifted), "b": json.loads(_report("b", [_result("r", hours=3.0)]))},
+    )
+    want = {"a": {"objective": 0.25}, "b": {"meta 'hours'": math.inf}}
+    if rel != want:  # wall_s is timing and groups did not move
+        failures.append(f"max-rel drift: got {rel}, wanted {want}")
 
     if failures:
         for failure in failures:
@@ -377,6 +443,12 @@ def main() -> int:
         help="only ratio-check timing keys matching this regex "
         "(others stay ignored); requires --timing-factor to have any effect",
     )
+    parser.add_argument(
+        "--max-rel",
+        action="store_true",
+        help="also print the largest relative drift of the deterministic "
+        "fields, per field and suite and overall (exit status unchanged)",
+    )
     parser.add_argument("--verbose", action="store_true", help="print ok suites")
     parser.add_argument(
         "--self-test", action="store_true", help="run the built-in test cases"
@@ -400,7 +472,9 @@ def main() -> int:
         except re.error as error:
             print(f"bench_diff: bad --timing-keys regex: {error}", file=sys.stderr)
             return 2
-    return diff_dirs(old_dir, new_dir, args.timing_factor, args.verbose, timing_re)
+    return diff_dirs(
+        old_dir, new_dir, args.timing_factor, args.verbose, timing_re, args.max_rel
+    )
 
 
 if __name__ == "__main__":
